@@ -143,7 +143,6 @@ from repro.regression.serialization import (
 )
 from repro.runtime.executor import PeriodicTaskExecutor
 from repro.sim.engine import Engine
-from repro.sim.vector import VectorizedEngine
 from repro.tasks.builder import TaskBuilder
 from repro.tasks.model import PeriodicTask
 from repro.tasks.state import ReplicaAssignment
@@ -288,7 +287,6 @@ __all__ = [
     "TimingEstimator",
     "TrackStreamGenerator",
     "UtilizationIndex",
-    "VectorizedEngine",
     "aaw_task",
     "as_allocator",
     "assign_deadlines",

@@ -75,7 +75,7 @@ class ExperimentResult:
     #: SHA-256 over the run's canonical decision sequence (see
     #: :func:`repro.experiments.history_index.decision_event_key`); two
     #: runs of the same config match byte for byte iff their managers
-    #: took identical decisions — the engine/sharding equivalence gates
+    #: took identical decisions — the golden-digest and sharding gates
     #: compare these instead of whole histories.
     decision_digest: str = ""
 
@@ -190,7 +190,6 @@ def build_world(
         seed=baseline.seed + seed_offset,
         tracer=tracer,
         telemetry=telemetry,
-        engine=config.engine,
     )
     task = aaw_task(
         period=baseline.period,

@@ -35,6 +35,11 @@ from repro.errors import ConfigurationError
 #: payload + ``counters`` (module id counters) + free-form ``meta``.
 SNAPSHOT_SCHEMA_VERSION = 1
 
+#: What unpickling a stale or corrupt capture raises: a class the
+#: payload names no longer exists (``ModuleNotFoundError`` is an
+#: ``ImportError``), or the bytes are truncated or garbled.
+_UNPICKLE_ERRORS = (AttributeError, ImportError, pickle.UnpicklingError, EOFError)
+
 
 @dataclass(frozen=True)
 class SimSnapshot:
@@ -87,7 +92,7 @@ class SimSnapshot:
         try:
             with path.open("rb") as handle:
                 snapshot = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError) as exc:
+        except (OSError, *_UNPICKLE_ERRORS) as exc:
             raise ConfigurationError(
                 f"cannot load snapshot from {path}: {exc}"
             ) from exc
@@ -140,12 +145,20 @@ def restore_snapshot(snapshot: SimSnapshot) -> Any:
     The returned world is a fresh object graph: running its engine to
     the original horizon replays the exact continuation the original
     run would have produced (bit-identical decision digest and
-    metrics).
+    metrics).  A payload that cannot be unpickled — it names a class
+    this library no longer has, or its bytes are corrupt — raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     from repro.cluster import network, processor
 
     _check_schema(snapshot.schema_version)
-    world = pickle.loads(snapshot.payload)
+    try:
+        world = pickle.loads(snapshot.payload)
+    except _UNPICKLE_ERRORS as exc:
+        raise ConfigurationError(
+            f"cannot restore snapshot {snapshot.meta.get('label', '')!r} "
+            f"taken at t={snapshot.time}: {exc}"
+        ) from exc
     processor._job_ids.reset(snapshot.counters.get("job_ids", 1))
     network._message_ids.reset(snapshot.counters.get("message_ids", 1))
     return world

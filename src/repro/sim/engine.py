@@ -101,12 +101,6 @@ class Engine:
         loops never touch it, only the post-loop accounting does.
     """
 
-    #: Whether :meth:`schedule_many` lands on an array-backed calendar
-    #: (:class:`repro.sim.vector.VectorizedEngine`).  Components use this
-    #: to pick batched submission paths; on the scalar engine the method
-    #: is just a loop over :meth:`schedule_at`.
-    supports_batch: bool = False
-
     def __init__(
         self,
         tracer: Tracer | None = None,
@@ -193,11 +187,9 @@ class Engine:
         ``callbacks`` and ``labels`` are either one value shared by
         every entry or one value per entry; ``args_list`` supplies the
         positional arguments per entry (default: none).  Sequence
-        numbers are consumed consecutively in input order, so the call
-        is observationally identical to a loop over
-        :meth:`schedule_at` — subclasses with an array-backed calendar
-        override this with a vectorized insert that preserves exactly
-        that contract.
+        numbers are consumed consecutively in input order: the call is
+        a loop over :meth:`schedule_at` that validates the per-entry
+        sequences up front.
         """
         n = len(times)
         cbs = callbacks if isinstance(callbacks, (list, tuple)) else [callbacks] * n

@@ -1,7 +1,7 @@
 """Order-independent aggregation of per-run results into one rollup.
 
 A campaign produces one row per grid cell (policy × pattern × workload
-× scenario × engine), and with ``--shards`` those rows arrive in
+× scenario × hardening), and with ``--shards`` those rows arrive in
 whatever order the shards finish.  :class:`CampaignRollup` collects
 each run's metrics snapshot, SLO verdict, resilience scorecard, and
 forecast-calibration report keyed by the cell's stable *tag*, and

@@ -67,6 +67,13 @@ class TestExperimentConfig:
                 policy="predictive", pattern="triangular", max_workload_units=0.0
             )
 
+    def test_engine_is_not_an_option(self):
+        config = ExperimentConfig(
+            policy="predictive", pattern="triangular", max_workload_units=5.0
+        )
+        with pytest.raises(ConfigurationError, match="engine"):
+            config.with_overrides(engine="scalar")
+
     def test_default_sweep_matches_paper_axis(self):
         assert DEFAULT_SWEEP_UNITS[0] >= 1.0
         assert DEFAULT_SWEEP_UNITS[-1] == 35.0

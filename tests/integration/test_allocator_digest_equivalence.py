@@ -8,11 +8,9 @@ nonpredictive runs take byte-identical decision sequences to the
 pre-redesign per-candidate control loop.
 
 The literal digests below were captured on the last commit **before**
-the redesign (same baseline, pattern, estimator recipe as
-``tests/integration/test_engine_equivalence.py``) and must never drift:
-a mismatch means the adapter or the manager rewire changed a decision.
-Both engines are pinned to the same constants — scalar/vectorized
-equivalence is part of the pin.
+the redesign (baseline ``n_periods=12, seed=5``, triangular pattern,
+the ``fitted_estimator`` recipe) and must never drift: a mismatch means
+a change moved a decision.  They are the simulator's decision contract.
 """
 
 from __future__ import annotations
@@ -20,7 +18,8 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import BaselineConfig, ExperimentConfig
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import build_world, run_experiment
+from repro.recovery import resume_experiment, take_snapshot
 
 BASELINE = BaselineConfig(n_periods=12, seed=5)
 
@@ -66,28 +65,58 @@ GOLDEN = {
 }
 
 
-def _run(policy, scenario, hardened, engine, estimator):
-    config = ExperimentConfig(
+def _config(policy, scenario, hardened):
+    return ExperimentConfig(
         policy=policy,
         pattern="triangular",
         max_workload_units=15.0,
         baseline=BASELINE,
         chaos_scenario=scenario,
         hardened=hardened,
-        engine=engine,
     )
-    return run_experiment(config, estimator=estimator)
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+def _run(policy, scenario, hardened, estimator):
+    return run_experiment(
+        _config(policy, scenario, hardened), estimator=estimator
+    )
+
+
 @pytest.mark.parametrize("scenario,hardened", list(GOLDEN["predictive"]))
 @pytest.mark.parametrize("policy", ["predictive", "nonpredictive"])
 class TestPreRedesignDigestsPinned:
     def test_digest_matches_pre_redesign_capture(
-        self, policy, scenario, hardened, engine, fitted_estimator
+        self, policy, scenario, hardened, fitted_estimator
     ):
-        result = _run(policy, scenario, hardened, engine, fitted_estimator)
+        result = _run(policy, scenario, hardened, fitted_estimator)
         assert result.decision_digest == GOLDEN[policy][(scenario, hardened)]
+
+
+@pytest.mark.parametrize("scenario,hardened", list(GOLDEN["predictive"]))
+@pytest.mark.parametrize("policy", ["predictive", "nonpredictive"])
+class TestGoldenDigestsSurviveResume:
+    def test_resumed_run_matches_pre_redesign_capture(
+        self, policy, scenario, hardened, fitted_estimator
+    ):
+        """Snapshot mid-run, restore, finish: still the golden decisions."""
+        world = build_world(
+            _config(policy, scenario, hardened), estimator=fitted_estimator
+        )
+        world.system.engine.run_until(4.15)  # jobs in flight
+        resumed = resume_experiment(take_snapshot(world, label="golden"))
+        assert resumed.decision_digest == GOLDEN[policy][(scenario, hardened)]
+
+
+class TestDigestProperties:
+    def test_digest_is_sha256_hex(self, fitted_estimator):
+        result = _run("predictive", None, False, fitted_estimator)
+        assert len(result.decision_digest) == 64
+        int(result.decision_digest, 16)  # hex-parsable
+
+    def test_digest_distinguishes_policies(self, fitted_estimator):
+        a = _run("predictive", None, False, fitted_estimator)
+        b = _run("nonpredictive", None, False, fitted_estimator)
+        assert a.decision_digest != b.decision_digest
 
 
 class TestAdapterIsInPath:

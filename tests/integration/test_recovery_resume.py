@@ -1,8 +1,8 @@
-"""Checkpoint/restore determinism across the policy × engine × chaos matrix.
+"""Checkpoint/restore determinism across the policy × chaos matrix.
 
 The crash-safety contract in one suite: for every cell of
-{predictive, nonpredictive} × {scalar, vectorized} × {fault-free,
-crashes, corrupt_readings},
+{predictive, nonpredictive} × {fault-free, crashes, corrupt_readings} ×
+{period-boundary, mid-period capture},
 
 * arming periodic checkpoints changes *nothing* — the armed run's
   decision digest and metrics equal the unarmed reference's; and
@@ -27,39 +27,44 @@ BASELINE = BaselineConfig(n_periods=12, seed=5)
 UNITS = 15.0
 SNAP_AT = 4.0
 CELLS = [
-    pytest.param(policy, engine, scenario, id=f"{policy}-{engine}-{scenario or 'none'}")
+    pytest.param(policy, scenario, id=f"{policy}-{scenario or 'none'}")
     for policy in ("predictive", "nonpredictive")
-    for engine in ("scalar", "vectorized")
     for scenario in (None, "crashes", "corrupt_readings")
 ]
 
 
-def _config(policy, engine, scenario, checkpoint=None) -> ExperimentConfig:
+def _config(policy, scenario, checkpoint=None) -> ExperimentConfig:
     return ExperimentConfig(
         policy=policy,
         pattern="triangular",
         max_workload_units=UNITS,
         baseline=BASELINE,
-        engine=engine,
         chaos_scenario=scenario,
         hardened=scenario is not None,
         checkpoint=checkpoint,
     )
 
 
-@pytest.mark.parametrize("policy,engine,scenario", CELLS)
+#: Capture times: on a period boundary and mid-period (jobs are in
+#: flight at both in every cell).
+SNAP_TIMES = [pytest.param(SNAP_AT, id="boundary"),
+              pytest.param(8.15, id="midperiod")]
+
+
+@pytest.mark.parametrize("snap_at", SNAP_TIMES)
+@pytest.mark.parametrize("policy,scenario", CELLS)
 class TestResumeMatrix:
     def test_checkpointing_and_resume_are_bit_identical(
-        self, policy, engine, scenario, fitted_estimator
+        self, policy, scenario, snap_at, fitted_estimator
     ):
         reference = run_experiment(
-            _config(policy, engine, scenario), estimator=fitted_estimator
+            _config(policy, scenario), estimator=fitted_estimator
         )
 
         # Arming periodic checkpoints must be free: same decisions,
         # same metrics, same placement.
         armed = run_experiment(
-            _config(policy, engine, scenario, checkpoint=SNAP_AT),
+            _config(policy, scenario, checkpoint=snap_at),
             estimator=fitted_estimator,
         )
         assert armed.decision_digest == reference.decision_digest
@@ -69,9 +74,9 @@ class TestResumeMatrix:
         # Snapshot mid-run, restore, run to the horizon: bit-identical
         # continuation.
         world = build_world(
-            _config(policy, engine, scenario), estimator=fitted_estimator
+            _config(policy, scenario), estimator=fitted_estimator
         )
-        world.system.engine.run_until(SNAP_AT)
+        world.system.engine.run_until(snap_at)
         snapshot = take_snapshot(world, label="matrix")
         resumed = resume_experiment(snapshot)
         assert resumed.decision_digest == reference.decision_digest
@@ -87,11 +92,11 @@ class TestResumeMatrix:
 class TestResumeFromArmedCheckpointer:
     def test_resume_from_latest_periodic_capture(self, fitted_estimator):
         reference = run_experiment(
-            _config("predictive", "scalar", "crashes"),
+            _config("predictive", "crashes"),
             estimator=fitted_estimator,
         )
         world = build_world(
-            _config("predictive", "scalar", "crashes", checkpoint=SNAP_AT),
+            _config("predictive", "crashes", checkpoint=SNAP_AT),
             estimator=fitted_estimator,
         )
         world.system.engine.run_until(9.0)

@@ -110,3 +110,23 @@ class TestSaveLoad:
         )
         with pytest.raises(ConfigurationError):
             restore_snapshot(stale)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # Protocol-0 GLOBAL opcodes naming a class that does not exist.
+            b"crepro.sim.no_such_module\nNoSuchEngine\n.",
+            b"crepro.sim.engine\nNoSuchEngine\n.",
+            b"",
+        ],
+        ids=["missing-module", "missing-class", "truncated"],
+    )
+    def test_restore_rejects_unloadable_payload(self, payload):
+        snapshot = SimSnapshot(
+            schema_version=SNAPSHOT_SCHEMA_VERSION,
+            time=2.5,
+            payload=payload,
+            meta={"label": "stale"},
+        )
+        with pytest.raises(ConfigurationError, match=r"'stale'.*t=2\.5"):
+            restore_snapshot(snapshot)

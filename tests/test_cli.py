@@ -44,6 +44,19 @@ class TestParser:
             )
         assert "unknown policy 'alchemy'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--engine", "scalar", "run"], ["run", "--engine", "vectorized"]],
+        ids=["global", "subcommand"],
+    )
+    def test_engine_flag_is_gone(self, argv, capsys):
+        """There is one simulation engine, so no flag selects one."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro") and "error:" in err
+
     @pytest.mark.parametrize("name", ["market", "fairshare", "oracle"])
     def test_zoo_policies_parse(self, name):
         args = build_parser().parse_args(["run", "--policy", name])

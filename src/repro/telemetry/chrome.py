@@ -158,7 +158,7 @@ def _convert(
             _slice(label, "job", t - latency, latency, PID_PROCESSORS, tid, data)
         ]
     if cat == "message":
-        if label.endswith(".lost"):
+        if label.endswith((".lost", ".dropped")):
             return [_instant(label, "message", t, PID_NETWORK, 1, data)]
         delay = float(data.get("total_delay", 0.0))
         return [_slice(label, "message", t - delay, delay, PID_NETWORK, 1, data)]
@@ -178,7 +178,7 @@ def _convert(
         return [_instant(label, "failure", t, PID_PROCESSORS, tid, data)]
     if cat == "rm":
         return [_instant(label, "rm", t, PID_RM, 1, data)]
-    return []  # "event" and other firehose categories stay out of the view
+    return []  # unknown categories (e.g. older traces' "event") stay out
 
 
 def write_chrome_trace(

@@ -2,11 +2,16 @@
 
 Instrumented components (engine, processors, network, executor, RM
 loop) hold a :class:`TelemetryHub` and guard every call site with the
-cheap ``hub.enabled`` class attribute — the exact pattern the engine's
-hot loop already uses for :class:`~repro.sim.trace.NullTracer`.  The
-default :data:`NULL_TELEMETRY` singleton has ``enabled = False``, so an
+cheap ``hub.enabled`` class attribute.  The default
+:data:`NULL_TELEMETRY` singleton has ``enabled = False``, so an
 uninstrumented run pays one attribute read and a falsy branch per
 *instrumentation site*, never per event.
+
+The hub is also the run's only trace writer: the hooks for jobs,
+messages, periods and faults write their own ``trace`` record, and the
+rarer occurrences without a hook (processor failures, RM crash,
+takeover, acting steps) call :meth:`TelemetryHub.trace`.  Without a sink
+none of these builds a record.
 
 The hub deliberately takes duck-typed simulation objects (period
 records, monitor reports, RM events) rather than importing the layers
@@ -40,8 +45,8 @@ class TelemetryHub:
     Parameters
     ----------
     sink:
-        Streaming destination for span/realization records (``None``
-        keeps metrics and spans in memory only).
+        Streaming destination for trace, span and realization records
+        (``None`` keeps metrics and spans in memory only).
     max_spans:
         Completed decision spans retained in memory.
     """
@@ -72,6 +77,18 @@ class TelemetryHub:
         """Forward one trace record to the sink, if any."""
         if self.sink is not None:
             self.sink.write(record)
+
+    def trace(self, now: float, cat: str, label: str, data: dict[str, Any]) -> None:
+        """Write one ``trace`` record (the hooks write theirs through here).
+
+        Does not advance :attr:`now`: a trace record is not a metric
+        sample.  The hooks check :attr:`sink` first, so a hub without
+        one builds no trace record at all.
+        """
+        if self.sink is not None:
+            self.emit(
+                {"t": now, "kind": "trace", "cat": cat, "label": label, "data": data}
+            )
 
     def close(self) -> None:
         """Close any dangling span and flush the sink."""
@@ -124,9 +141,12 @@ class TelemetryHub:
     # -- cluster ------------------------------------------------------------
 
     def on_job_complete(
-        self, now: float, processor: str, kind: str, demand: float, latency: float
+        self, now: float, processor: str, label: str, demand: float, latency: float
     ) -> None:
-        """Account one completed CPU job."""
+        """Account one completed CPU job (``label``: its label, else its kind)."""
+        if self.sink is not None:
+            data = {"processor": processor, "demand": demand, "latency": latency}
+            self.trace(now, "job", label, data)
         self._tick(now)
         labels = {"processor": processor}
         self.registry.counter("proc.jobs_completed", labels).inc()
@@ -135,9 +155,14 @@ class TelemetryHub:
         )
 
     def on_message_delivered(
-        self, now: float, wire_bytes: float, buffer_delay: float, total_delay: float
+        self, now: float, wire_bytes: float, buffer_delay: float, total_delay: float,
+        label: str,
     ) -> None:
         """Account one delivered network message."""
+        if self.sink is not None:
+            data = {"bytes": wire_bytes, "buffer_delay": buffer_delay,
+                    "total_delay": total_delay}
+            self.trace(now, "message", label, data)
         self._tick(now)
         self.registry.counter("net.messages_delivered").inc()
         self.registry.counter("net.bytes_delivered").inc(wire_bytes)
@@ -148,13 +173,17 @@ class TelemetryHub:
         if self.slo is not None:
             self.slo.on_message(now, dropped=False)
 
-    def on_message_lost(self, now: float) -> None:
+    def on_message_lost(self, now: float, label: str) -> None:
         """Account one lost transmission (retry pending)."""
+        if self.sink is not None:
+            self.trace(now, "message", f"{label}.lost", {})
         self._tick(now)
         self.registry.counter("net.messages_lost").inc()
 
-    def on_message_dropped(self, now: float) -> None:
+    def on_message_dropped(self, now: float, label: str, losses: int) -> None:
         """Account one message abandoned after exhausting its retries."""
+        if self.sink is not None:
+            self.trace(now, "message", f"{label}.dropped", {"losses": losses})
         self._tick(now)
         self.registry.counter("net.messages_dropped").inc()
         if self._msg_stat is not None:
@@ -164,12 +193,17 @@ class TelemetryHub:
 
     # -- runtime ------------------------------------------------------------
 
-    def on_period_complete(self, now: float, record: Any) -> None:
+    def on_period_complete(self, now: float, record: Any, task: str) -> None:
         """Account a finished period and realize matching forecasts.
 
         ``record`` is a duck-typed
-        :class:`~repro.runtime.records.PeriodRecord`.
+        :class:`~repro.runtime.records.PeriodRecord` of the task named
+        ``task``.
         """
+        if self.sink is not None:
+            data = {"period": record.period_index, "latency": record.latency,
+                    "missed": record.missed}
+            self.trace(now, "period", f"{task}.complete", data)
         self._tick(now)
         self.registry.counter("task.periods_completed").inc()
         if record.missed:
@@ -190,8 +224,10 @@ class TelemetryHub:
             ):
                 self._record_realization(now, record.period_index, forecast)
 
-    def on_period_abort(self, now: float, record: Any) -> None:
+    def on_period_abort(self, now: float, record: Any, task: str) -> None:
         """Account a period shed by the overload watchdog."""
+        if self.sink is not None:
+            self.trace(now, "period", f"{task}.abort", {"period": record.period_index})
         self._tick(now)
         self.registry.counter("task.periods_aborted").inc()
         self.registry.counter("task.periods_missed").inc()
@@ -312,8 +348,14 @@ class TelemetryHub:
         )
         self.registry.gauge("rm.breaker_trips").set(trips)
 
-    def on_fault_injected(self, now: float, kind: str, target: str) -> None:
+    def on_fault_injected(
+        self, now: float, kind: str, target: str, duration_s: float | None,
+        value: float,
+    ) -> None:
         """Account one chaos fault injection (by fault kind)."""
+        if self.sink is not None:
+            data = {"duration_s": duration_s, "value": value}
+            self.trace(now, "chaos", f"{kind}.{target}", data)
         self._tick(now)
         self.registry.counter("chaos.faults_injected", {"kind": kind}).inc()
 
@@ -389,35 +431,40 @@ class NullTelemetry(TelemetryHub):
         """Drop the record."""
         return
 
+    def trace(self, now: float, cat: str, label: str, data: dict[str, Any]) -> None:
+        """Drop the trace record."""
+        return
+
     def on_engine_run(self, now: float, executed: int) -> None:
         """Drop the engine-run accounting."""
         return
 
     def on_job_complete(
-        self, now: float, processor: str, kind: str, demand: float, latency: float
+        self, now: float, processor: str, label: str, demand: float, latency: float
     ) -> None:
         """Drop the job completion."""
         return
 
     def on_message_delivered(
-        self, now: float, wire_bytes: float, buffer_delay: float, total_delay: float
+        self, now: float, wire_bytes: float, buffer_delay: float, total_delay: float,
+        label: str,
     ) -> None:
         """Drop the message delivery."""
         return
 
-    def on_message_lost(self, now: float) -> None:
+    def on_message_lost(self, now: float, label: str) -> None:
         """Drop the message loss."""
         return
 
-    def on_message_dropped(self, now: float) -> None:
+    def on_message_dropped(self, now: float, label: str, losses: int) -> None:
         """Drop the message-drop accounting."""
         return
 
-    def on_period_complete(self, now: float, record: Any) -> None:
+    def on_period_complete(self, now: float, record: Any, task: str) -> None:
         """Drop the period completion."""
         return
 
-    def on_period_abort(self, now: float, record: Any) -> None:
+    def on_period_abort(self, now: float, record: Any, task: str) -> None:
         """Drop the period abort."""
         return
 
@@ -433,7 +480,10 @@ class NullTelemetry(TelemetryHub):
         """Drop the breaker state."""
         return
 
-    def on_fault_injected(self, now: float, kind: str, target: str) -> None:
+    def on_fault_injected(
+        self, now: float, kind: str, target: str, duration_s: float | None,
+        value: float,
+    ) -> None:
         """Drop the fault injection."""
         return
 

@@ -8,7 +8,7 @@ import pytest
 from repro.cluster.network import Network
 from repro.errors import ClusterError
 from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
+from repro.telemetry import MemorySink, TelemetryHub
 
 
 def make(loss=0.5, mode="shared", seed=0, timeout=0.050, max_retries=None):
@@ -125,7 +125,8 @@ class TestDroppedMessages:
 
     @pytest.mark.parametrize("mode", ["shared", "switched"])
     def test_drop_is_traced(self, mode):
-        engine = Engine(tracer=Tracer(categories={"message"}))
+        sink = MemorySink()
+        engine = Engine(telemetry=TelemetryHub(sink))
         net = Network(
             engine, bandwidth_bps=100e6, default_overhead_bytes=0.0,
             mode=mode, loss_probability=0.99999, max_retries=1,
@@ -133,8 +134,27 @@ class TestDroppedMessages:
         )
         net.send_bytes(10_000.0, label="probe")
         engine.run()
-        labels = [record.label for record in engine.tracer.records]
+        labels = [r["label"] for r in sink.records if r["kind"] == "trace"]
         assert "probe.dropped" in labels
+
+    @pytest.mark.parametrize("mode", ["shared", "switched"])
+    def test_every_delivery_is_traced(self, mode):
+        sink = MemorySink()
+        engine = Engine(telemetry=TelemetryHub(sink))
+        net = Network(
+            engine, bandwidth_bps=100e6, default_overhead_bytes=0.0,
+            mode=mode, loss_probability=0.3, rng=np.random.default_rng(4),
+        )
+        for _ in range(40):
+            net.send_bytes(1_000.0, label="probe")
+        engine.run()
+        delivered = [
+            r for r in sink.records
+            if r["kind"] == "trace" and r["cat"] == "message"
+            and not r["label"].endswith((".lost", ".dropped"))
+        ]
+        assert net.lost_count > 0
+        assert len(delivered) == net.delivered_count == 40
 
     def test_negative_max_retries_rejected(self):
         engine = Engine()

@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.processor import Discipline, Job, Processor
 from repro.errors import ClusterError
 from repro.sim.engine import Engine
+from repro.telemetry import MemorySink, TelemetryHub
 
 
 def ps_processor(engine=None):
@@ -229,3 +230,28 @@ class TestPSvsRR:
         assert ps.meter.busy_between(0.0, 1.0) == pytest.approx(
             rr.meter.busy_between(0.0, 1.0), abs=1e-6
         )
+
+
+class TestTraceRecords:
+    def _traces(self, sink):
+        return [(r["cat"], r["label"]) for r in sink.records if r["kind"] == "trace"]
+
+    def test_job_traced_under_label_else_kind(self):
+        sink = MemorySink()
+        engine, proc = ps_processor(Engine(telemetry=TelemetryHub(sink)))
+        proc.submit(Job(1.0, kind="exec", label="sub2"))
+        proc.submit(Job(2.0, kind="exec"))
+        engine.run()
+        assert self._traces(sink) == [("job", "sub2"), ("job", "exec")]
+
+    def test_fail_and_recover_are_traced(self):
+        sink = MemorySink()
+        engine, proc = ps_processor(Engine(telemetry=TelemetryHub(sink)))
+        proc.submit(Job(5.0))
+        engine.run_until(1.0)
+        proc.fail()
+        proc.recover()
+        assert self._traces(sink) == [
+            ("failure", "p1.fail"), ("failure", "p1.recover")
+        ]
+        assert sink.records[0]["data"] == {"lost": 1}

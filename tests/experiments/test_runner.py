@@ -8,9 +8,11 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import BaselineConfig, ExperimentConfig
 from repro.experiments.estimator_cache import get_estimator
 from repro.experiments.runner import (
+    build_world,
     run_experiment,
     sweep_workloads,
 )
+from repro.telemetry import TelemetryHub
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +84,19 @@ class TestRunExperiment:
                 config(pattern="sawtooth", baseline=fast_baseline),
                 estimator=fitted_estimator,
             )
+
+
+class TestBuildWorldPositionalSlot:
+    """The fourth positional slot is reserved: ``None`` or an error."""
+
+    def test_none_in_reserved_slot_keeps_telemetry_fifth(self, fitted_estimator):
+        hub = TelemetryHub()
+        world = build_world(config(), fitted_estimator, 0, None, hub)
+        assert world.system.engine.telemetry is hub
+
+    def test_anything_else_in_reserved_slot_is_rejected(self, fitted_estimator):
+        with pytest.raises(ConfigurationError, match="telemetry="):
+            build_world(config(), fitted_estimator, 0, TelemetryHub())
 
 
 class TestSweep:

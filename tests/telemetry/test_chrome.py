@@ -64,6 +64,13 @@ SAMPLE = [
         "data": {},
     },
     {
+        "t": 3.7,
+        "kind": "trace",
+        "cat": "message",
+        "label": "m2.dropped",
+        "data": {"losses": 3},
+    },
+    {
         "t": 4.0,
         "kind": "trace",
         "cat": "period",
@@ -125,7 +132,7 @@ class TestToChromeTrace:
         doc = to_chrome_trace(SAMPLE)
         messages = [e for e in doc["traceEvents"] if e.get("cat") == "message"]
         phases = {e["name"]: e["ph"] for e in messages}
-        assert phases == {"m0": "X", "m1.lost": "i"}
+        assert phases == {"m0": "X", "m1.lost": "i", "m2.dropped": "i"}
         assert all(e["pid"] == PID_NETWORK for e in messages)
 
     def test_acted_span_is_marked(self):

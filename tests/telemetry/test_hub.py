@@ -65,7 +65,7 @@ class TestHubBasics:
     def test_now_tracks_largest_seen_time(self):
         hub = TelemetryHub()
         hub.on_engine_run(5.0, 10)
-        hub.on_message_lost(3.0)  # earlier time must not move `now` back
+        hub.on_message_lost(3.0, "m0")  # earlier time must not move `now` back
         assert hub.now == 5.0
 
     def test_emit_without_sink_is_safe(self):
@@ -111,8 +111,8 @@ class TestInstrumentationCallbacks:
 
     def test_network_callbacks(self):
         hub = TelemetryHub()
-        hub.on_message_delivered(1.0, 512.0, 0.01, 0.02)
-        hub.on_message_lost(1.5)
+        hub.on_message_delivered(1.0, 512.0, 0.01, 0.02, "m0")
+        hub.on_message_lost(1.5, "m0")
         assert hub.registry.counter("net.messages_delivered").value == 1
         assert hub.registry.counter("net.bytes_delivered").value == 512.0
         assert hub.registry.counter("net.messages_lost").value == 1
@@ -120,27 +120,27 @@ class TestInstrumentationCallbacks:
 
     def test_on_period_complete_counts_and_misses(self):
         hub = TelemetryHub()
-        hub.on_period_complete(1.0, _period(0, [], missed=False))
-        hub.on_period_complete(2.0, _period(1, [], missed=True))
+        hub.on_period_complete(1.0, _period(0, [], missed=False), "aaw")
+        hub.on_period_complete(2.0, _period(1, [], missed=True), "aaw")
         assert hub.registry.counter("task.periods_completed").value == 2
         assert hub.registry.counter("task.periods_missed").value == 1
         assert hub.registry.histogram("task.period_latency_seconds").count == 2
 
     def test_on_period_abort(self):
         hub = TelemetryHub()
-        hub.on_period_abort(1.0, _period(0, []))
+        hub.on_period_abort(1.0, _period(0, []), "aaw")
         assert hub.registry.counter("task.periods_aborted").value == 1
         assert hub.registry.counter("task.periods_missed").value == 1
 
     def test_on_period_abort_advances_now(self):
         hub = TelemetryHub()
-        hub.on_period_abort(7.5, _period(0, []))
+        hub.on_period_abort(7.5, _period(0, []), "aaw")
         assert hub.now == 7.5
 
     def test_on_message_dropped(self):
         hub = TelemetryHub()
-        hub.on_message_dropped(2.0)
-        hub.on_message_dropped(3.0)
+        hub.on_message_dropped(2.0, "m0", 3)
+        hub.on_message_dropped(3.0, "m0", 3)
         assert hub.registry.counter("net.messages_dropped").value == 2
         assert hub.now == 3.0
 
@@ -162,6 +162,90 @@ class TestInstrumentationCallbacks:
             ).value
             == 1
         )
+
+
+def _trace(t, cat, label, data):
+    return {"t": t, "kind": "trace", "cat": cat, "label": label, "data": data}
+
+
+#: (hook call, the trace record it must write).
+HOOK_RECORDS = [
+    (
+        lambda hub: hub.on_job_complete(1.0, "p0", "sub0", 0.1, 0.2),
+        _trace(1.0, "job", "sub0",
+               {"processor": "p0", "demand": 0.1, "latency": 0.2}),
+    ),
+    (
+        lambda hub: hub.on_message_delivered(2.0, 512.0, 0.01, 0.02, "m0"),
+        _trace(2.0, "message", "m0",
+               {"bytes": 512.0, "buffer_delay": 0.01, "total_delay": 0.02}),
+    ),
+    (
+        lambda hub: hub.on_message_lost(2.5, "m0"),
+        _trace(2.5, "message", "m0.lost", {}),
+    ),
+    (
+        lambda hub: hub.on_message_dropped(3.0, "m0", 2),
+        _trace(3.0, "message", "m0.dropped", {"losses": 2}),
+    ),
+    (
+        lambda hub: hub.on_period_complete(
+            4.0, _period(7, [], missed=True, latency=1.2), "aaw"
+        ),
+        _trace(4.0, "period", "aaw.complete",
+               {"period": 7, "latency": 1.2, "missed": True}),
+    ),
+    (
+        lambda hub: hub.on_period_abort(5.0, _period(8, []), "aaw"),
+        _trace(5.0, "period", "aaw.abort", {"period": 8}),
+    ),
+    (
+        lambda hub: hub.on_fault_injected(6.0, "loss_spike", "net", 1.5, 0.3),
+        _trace(6.0, "chaos", "loss_spike.net",
+               {"duration_s": 1.5, "value": 0.3}),
+    ),
+    (
+        lambda hub: hub.trace(7.0, "rm", "rm.crash", {"cancelled": 4}),
+        _trace(7.0, "rm", "rm.crash", {"cancelled": 4}),
+    ),
+]
+HOOK_IDS = [
+    "job", "delivered", "lost", "dropped", "period-complete",
+    "period-abort", "fault", "trace",
+]
+
+
+class TestTraceRecords:
+    @pytest.mark.parametrize(("call", "expected"), HOOK_RECORDS, ids=HOOK_IDS)
+    def test_hook_writes_its_trace_record(self, call, expected):
+        sink = MemorySink()
+        call(TelemetryHub(sink=sink))
+        assert sink.records == [expected]
+
+    @pytest.mark.parametrize(("call", "expected"), HOOK_RECORDS, ids=HOOK_IDS)
+    def test_sinkless_hook_emits_nothing(self, call, expected):
+        hub = TelemetryHub()
+        emitted = []
+        hub.emit = emitted.append
+        call(hub)
+        assert emitted == []
+
+    def test_trace_record_precedes_forecast_realization(self):
+        sink = MemorySink()
+        hub = TelemetryHub(sink=sink)
+        hub.begin_decision(1.0)
+        hub.on_forecast(1.0, 0, 2, forecast_s=0.5, threshold_s=0.6, accepted=True)
+        hub.end_decision(1.1, _event(placement={0: ["p0", "p1"]}, total_replicas=2))
+        sink.records.clear()
+        hub.on_period_complete(2.0, _period(3, [_stage(0, 2, 0.4)]), "aaw")
+        assert [r["kind"] for r in sink.records] == [
+            "trace", "rm.forecast_realized"
+        ]
+
+    def test_trace_does_not_advance_now(self):
+        hub = TelemetryHub(sink=MemorySink())
+        hub.trace(9.0, "failure", "p1.recover", {})
+        assert hub.now == 0.0
 
 
 class TestDecisionCycle:
@@ -237,7 +321,7 @@ class TestForecastRealization:
         hub.begin_decision(1.0)
         hub.on_forecast(1.0, 0, 2, forecast_s=0.5, threshold_s=0.6, accepted=True)
         hub.end_decision(1.1, _event(placement={0: ["p0", "p1"]}, total_replicas=2))
-        hub.on_period_complete(2.0, _period(3, [_stage(0, 2, 0.4)]))
+        hub.on_period_complete(2.0, _period(3, [_stage(0, 2, 0.4)]), "aaw")
         realized = [
             r for r in sink.records if r["kind"] == "rm.forecast_realized"
         ]
@@ -252,7 +336,7 @@ class TestForecastRealization:
         hub.begin_decision(1.0)
         hub.on_forecast(1.0, 0, 2, forecast_s=0.9, threshold_s=0.6, accepted=False)
         hub.end_decision(1.1, _event(placement={}, total_replicas=0))
-        hub.on_period_complete(2.0, _period(3, [_stage(0, 2, 0.4)]))
+        hub.on_period_complete(2.0, _period(3, [_stage(0, 2, 0.4)]), "aaw")
         assert not any(
             r["kind"] == "rm.forecast_realized" for r in sink.records
         )
@@ -262,7 +346,7 @@ class TestForecastRealization:
         hub.begin_decision(1.0)
         hub.on_forecast(1.0, 0, 2, forecast_s=0.5, threshold_s=0.6, accepted=True)
         hub.end_decision(1.1, _event(placement={}, total_replicas=0))
-        hub.on_period_complete(2.0, _period(3, [_stage(0, 2, None)]))
+        hub.on_period_complete(2.0, _period(3, [_stage(0, 2, None)]), "aaw")
         assert len(hub.spans.pending) == 1  # still awaiting a real latency
 
 
@@ -271,11 +355,11 @@ class TestArmedConsumers:
         hub = TelemetryHub()
         engine = hub.arm_slo()
         assert hub.slo is engine
-        hub.on_period_complete(1.0, _period(0, [], missed=False))
-        hub.on_period_complete(2.0, _period(1, [], missed=True))
-        hub.on_period_abort(3.0, _period(2, []))
-        hub.on_message_delivered(3.0, 64.0, 0.0, 0.01)
-        hub.on_message_dropped(3.5)
+        hub.on_period_complete(1.0, _period(0, [], missed=False), "aaw")
+        hub.on_period_complete(2.0, _period(1, [], missed=True), "aaw")
+        hub.on_period_abort(3.0, _period(2, []), "aaw")
+        hub.on_message_delivered(3.0, 64.0, 0.0, 0.01, "m0")
+        hub.on_message_dropped(3.5, "m0", 3)
         report = engine.report()
         by_name = {v.rule.name: v for v in report.verdicts}
         # 3 periods, 2 bad (the miss and the abort).
@@ -293,7 +377,7 @@ class TestArmedConsumers:
         hub.end_decision(1.1, _event(placement={0: ["p0", "p1"]},
                                      total_replicas=2))
         # Realized 0.4 vs forecast 0.8: APE 1.0 > the 0.5 tolerance.
-        hub.on_period_complete(2.0, _period(3, [_stage(0, 2, 0.4)]))
+        hub.on_period_complete(2.0, _period(3, [_stage(0, 2, 0.4)]), "aaw")
         by_name = {v.rule.name: v for v in engine.report().verdicts}
         assert by_name["forecast-calibration"].n_events == 1
         assert by_name["forecast-calibration"].observed == 1.0
@@ -302,7 +386,7 @@ class TestArmedConsumers:
         hub = TelemetryHub()
         hub.arm_slo()
         hub.begin_decision(1.0)
-        hub.on_period_complete(1.0, _period(0, [], missed=True))
+        hub.on_period_complete(1.0, _period(0, [], missed=True), "aaw")
         hub.end_decision(1.1, _event(placement={}, total_replicas=0))
         assert (
             hub.registry.gauge(
@@ -317,7 +401,7 @@ class TestArmedConsumers:
         hub.arm_slo()
         for i in range(4):
             hub.begin_decision(float(i))
-            hub.on_period_complete(float(i), _period(i, [], missed=True))
+            hub.on_period_complete(float(i), _period(i, [], missed=True), "aaw")
             hub.end_decision(float(i) + 0.1, _event(placement={},
                                                     total_replicas=0))
         alerts = [r for r in sink.records if r["kind"] == "slo.alert"]
@@ -327,8 +411,8 @@ class TestArmedConsumers:
         hub = TelemetryHub()
         profiler = hub.arm_profiler()
         assert hub.profiler is profiler
-        hub.on_message_delivered(1.0, 64.0, 0.0, 0.01)
-        hub.on_message_dropped(2.0)
+        hub.on_message_delivered(1.0, 64.0, 0.0, 0.01, "m0")
+        hub.on_message_dropped(2.0, "m0", 3)
         [stat] = profiler.stats()
         assert stat.name == "net.message"
         assert stat.events == 2
@@ -345,12 +429,14 @@ class TestNullTelemetry:
         null.emit({"t": 0.0, "kind": "trace"})
         null.on_engine_run(1.0, 5)
         null.on_job_complete(1.0, "p0", "exec", 0.1, 0.2)
-        null.on_message_delivered(1.0, 10.0, 0.0, 0.0)
-        null.on_message_lost(1.0)
-        null.on_message_dropped(1.0)
+        null.on_message_delivered(1.0, 10.0, 0.0, 0.0, "m0")
+        null.on_message_lost(1.0, "m0")
+        null.on_message_dropped(1.0, "m0", 3)
         null.on_cluster_utilization(1.0, 0.5, "p0")
-        null.on_period_complete(1.0, _period(0, []))
-        null.on_period_abort(1.0, _period(0, []))
+        null.on_period_complete(1.0, _period(0, []), "aaw")
+        null.on_period_abort(1.0, _period(0, []), "aaw")
+        null.on_fault_injected(1.0, "crash", "p1", 2.0, 0.0)
+        null.trace(1.0, "failure", "p1.fail", {"lost": 0})
         assert len(null.registry) == 0
         assert null.now == 0.0
         assert null.slo is None and null.profiler is None

@@ -8,9 +8,9 @@ import pytest
 
 from repro.experiments.config import BaselineConfig, ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.sim.trace import StreamingTracer
 from repro.telemetry import (
     JsonlTraceSink,
+    MemorySink,
     TelemetryHub,
     read_jsonl,
     summarize_trace,
@@ -26,16 +26,13 @@ def telemetry_run(tmp_path_factory, fitted_estimator):
     trace_path = out / "trace.jsonl"
     sink = JsonlTraceSink(trace_path)
     hub = TelemetryHub(sink=sink)
-    tracer = StreamingTracer(sink)
     config = ExperimentConfig(
         policy="predictive",
         pattern="increasing",
         max_workload_units=8.0,
         baseline=BaselineConfig(n_periods=15, noise_sigma=0.0, seed=3),
     )
-    result = run_experiment(
-        config, estimator=fitted_estimator, tracer=tracer, telemetry=hub
-    )
+    result = run_experiment(config, estimator=fitted_estimator, telemetry=hub)
     hub.close()
     return result, hub, trace_path
 
@@ -104,3 +101,45 @@ class TestTelemetryRun:
             estimator=fitted_estimator,
         )
         assert plain.metrics == result.metrics
+
+
+CHAOS_CONFIG = ExperimentConfig(
+    policy="predictive",
+    pattern="triangular",
+    max_workload_units=25.0,
+    baseline=BaselineConfig(n_periods=24, seed=5),
+    chaos_scenario="rm_crash_under_load",
+    hardened=True,
+    failover=True,
+)
+
+
+class _EmitSpy(TelemetryHub):
+    """A sink-less hub that remembers every record handed to ``emit``."""
+
+    def __init__(self):
+        super().__init__()
+        self.emitted = []
+
+    def emit(self, record):
+        self.emitted.append(record)
+        super().emit(record)
+
+
+class TestHubIsTheOnlyTraceWriter:
+    def test_chaos_run_traces_every_category(self, fitted_estimator):
+        sink = MemorySink()
+        run_experiment(
+            CHAOS_CONFIG, estimator=fitted_estimator, telemetry=TelemetryHub(sink)
+        )
+        traces = [r for r in sink.records if r["kind"] == "trace"]
+        categories = {r["cat"] for r in traces}
+        assert categories == {"job", "message", "period", "failure", "chaos", "rm"}
+        rm_labels = {r["label"] for r in traces if r["cat"] == "rm"}
+        assert {"rm.crash", "rm.takeover", "predictive.acted"} <= rm_labels
+
+    def test_sinkless_hub_emits_no_trace_record(self, fitted_estimator):
+        hub = _EmitSpy()
+        run_experiment(CHAOS_CONFIG, estimator=fitted_estimator, telemetry=hub)
+        assert hub.registry.counter("task.periods_completed").value > 0
+        assert not [r for r in hub.emitted if r["kind"] == "trace"]

@@ -14,7 +14,7 @@ import pickle
 from repro.experiments.config import BaselineConfig, ExperimentConfig
 from repro.experiments.runner import build_world, run_experiment
 from repro.recovery import restore_snapshot, take_snapshot
-from repro.sim.trace import StreamingTracer
+from repro.telemetry import TelemetryHub
 from repro.telemetry.sinks import JsonlTraceSink, read_jsonl
 
 BASELINE = BaselineConfig(n_periods=8, seed=3)
@@ -61,7 +61,7 @@ class TestResumedRunTrace:
         ref_path = tmp_path / "ref.jsonl"
         with JsonlTraceSink(ref_path, flush_every=1) as sink:
             run_experiment(
-                CONFIG, estimator=fitted_estimator, tracer=StreamingTracer(sink)
+                CONFIG, estimator=fitted_estimator, telemetry=TelemetryHub(sink)
             )
         reference = read_jsonl(ref_path)
         assert reference, "traced reference run produced no records"
@@ -71,7 +71,7 @@ class TestResumedRunTrace:
         path = tmp_path / "trace.jsonl"
         sink = JsonlTraceSink(path, flush_every=1)
         world = build_world(
-            CONFIG, estimator=fitted_estimator, tracer=StreamingTracer(sink)
+            CONFIG, estimator=fitted_estimator, telemetry=TelemetryHub(sink)
         )
         world.system.engine.run_until(3.0)
         snapshot = take_snapshot(world)
@@ -79,7 +79,7 @@ class TestResumedRunTrace:
 
         resumed_world = restore_snapshot(snapshot)
         resumed_world.system.engine.run_until(resumed_world.end_time)
-        resumed_world.system.engine.tracer.sink.close()
+        resumed_world.system.engine.telemetry.sink.close()
 
         merged = read_jsonl(path)
         times = [r["t"] for r in merged]

@@ -1,51 +1,53 @@
-"""Incremental least-utilization index over the processor set.
+"""Exact utilization queries that cost O(changed), not O(P).
 
-The RM hot path (Figure 5 step 3, Figure 7's threshold sweep, and the
-failure-migration path) repeatedly asks "which live processor is least
-utilized?" — the straightforward implementation rescans all ``P``
-processors and re-reads every :class:`~repro.cluster.metering.UtilizationMeter`
-per query, which is fine for the paper's 6-node testbed but dominates the
-decision loop at the ROADMAP's hundreds-of-processors scale.
+The RM hot path (Figure 5 step 3, Figure 7's threshold sweep, the
+failure-migration path and the mean-utilization feed) asks about every
+processor's ``ut(p, t)`` once per period.  At hundreds of processors
+most of them sit idle, and reading every
+:class:`~repro.cluster.metering.UtilizationMeter` dominates the loop.
 
-:class:`UtilizationIndex` answers the same queries from a lazily
-re-keyed min-heap and is **bit-identical** to the scan:
+:class:`UtilizationIndex` rests on one fact: **a dormant processor reads
+exactly** ``0.0``.  It is dormant at ``t`` when it has no reading fault,
+its meter is idle, and the meter's last busy/idle transition lies at or
+before the window start ``max(epoch, t - window)``: both window ends
+then read the same running busy total, and ``x - x`` is an exact zero
+(:meth:`~repro.cluster.metering.UtilizationMeter.reads_zero`).
 
-* Every returned value is an *exact* ``p.utilization()`` reading — the
-  heap keys are only used to prove which processors cannot contend.
-* Per processor the index caches the exact reading ``(u0, t0, span0)``
-  taken at time ``t0`` over a trailing window of length ``span0``.
-  Windowed busy fractions drift boundedly: over ``delta = t - t0`` the
-  window loses at most ``delta`` busy seconds (the slide) and grows by
-  at most ``delta`` (warm-up), so for every later ``t``::
+The index keeps the complementary **warm set**.  A processor joins it
+on an idle→busy meter transition (the meter's ``on_wake`` hook) and
+whenever its ``reading_fault`` is set or cleared (the processor's
+property setter fires the same hook).  :meth:`UtilizationIndex.refresh`,
+run by every query, re-reads the warm processors once per timestamp
+and retires those gone dormant; a reading is invariant under
+same-instant busy/idle transitions, so after that only processors woken
+at the same instant are re-read.
 
-      u(t) >= (u0 * span0 - delta) / (span0 + delta)
-
-  clamped to ``[0, 1]``.  The heap is keyed by this lower bound (ties
-  broken by name), recomputed in one cheap float pass per *new*
-  timestamp — no meter reads.
-* A query pops entries while the best exact reading found so far could
-  still be beaten (``(best_u, best_name) > (key, name)`` of the heap
-  top), re-reading the meter only for entries whose cached reading is
-  stale (``t0 < t``).  Within one RM step the engine time is fixed and
-  windowed utilization is invariant under same-instant busy/idle
-  transitions, so cached same-``t`` readings stay exact and every query
-  after the first touches O(log P) entries.
-
-Failed processors are parked when a pop discovers them and re-admitted
-(with a fresh reading) once recovered; the index never hooks
-:meth:`~repro.cluster.processor.Processor.fail` so direct flag writes in
-tests stay safe.
+Every answer equals the O(P) scan bit for bit, reading faults included
+(negative, above one, or NaN): the mean sums the warm readings in
+creation order (adding ``0.0`` is exact), the argmin runs the scan's
+``min`` over the only candidates that can win, and the other queries
+fill in ``0.0`` for dormant processors.  The ``failed`` flag is
+read at query time, so direct writes to it stay safe.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+import functools
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Sequence
+
+from repro.errors import ClusterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.processor import Processor
     from repro.sim.engine import Engine
+
+
+def _dormant(proc: "Processor", now: float) -> bool:
+    """Whether ``proc.utilization()`` reads exactly ``0.0`` at ``now``."""
+    return proc.reading_fault is None and proc.meter.reads_zero(
+        now, proc.utilization_window
+    )
 
 
 @dataclass
@@ -54,27 +56,20 @@ class IndexStats:
 
     argmin_queries: int = 0
     below_queries: int = 0
-    rekeys: int = 0
-    heap_pops: int = 0
     meter_reads: int = 0
+    #: Per-timestamp passes over the warm set.
     refreshes: int = 0
-    parks: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """Counter name -> value, for telemetry export."""
-        return {
-            "argmin_queries": self.argmin_queries,
-            "below_queries": self.below_queries,
-            "rekeys": self.rekeys,
-            "heap_pops": self.heap_pops,
-            "meter_reads": self.meter_reads,
-            "refreshes": self.refreshes,
-            "parks": self.parks,
-        }
+        return asdict(self)
 
 
 class UtilizationIndex:
-    """Exact argmin/threshold queries over processor utilizations.
+    """Exact mean/argmin/threshold queries over processor utilizations.
+
+    The index owns the ``on_wake`` hook of every processor's meter, so
+    one processor set serves one index.
 
     Parameters
     ----------
@@ -88,188 +83,99 @@ class UtilizationIndex:
     def __init__(self, engine: "Engine", processors: Sequence["Processor"]) -> None:
         self.engine = engine
         self._procs: list[Processor] = list(processors)
-        self._order: dict[str, int] = {p.name: i for i, p in enumerate(self._procs)}
-        self._by_name: dict[str, Processor] = {p.name: p for p in self._procs}
-        #: name -> (exact utilization, read time, window span at read time)
-        self._cache: dict[str, tuple[float, float, float]] = {}
-        #: name -> generation; heap entries with an older generation are stale
-        self._gen: dict[str, int] = {p.name: 0 for p in self._procs}
-        #: entries (lower-bound key, name, generation)
-        self._heap: list[tuple[float, str, int]] = []
-        #: failed processors currently evicted from the heap
-        self._parked: set[str] = set()
-        #: timestamp the heap keys are lower bounds for
-        self._key_time: float = engine.now
-        #: Exact readings for *all* processors (creation order) taken at
-        #: ``_key_time``, or ``None``.  Same-timestamp reads can't change
-        #: a reading, so while set it lets threshold sweeps bypass the
-        #: heap entirely; a re-key at a new timestamp clears it.
-        self._fresh_values: list[float] | None = None
+        #: Positions in name order: the scan's tie-break order.
+        self._name_order: list[int] = sorted(
+            range(len(self._procs)), key=lambda i: self._procs[i].name
+        )
+        #: Positions of processors that may read non-zero.
+        self._warm: set[int] = set()
+        #: Warm positions without a reading at ``_read_time``.
+        self._stale: set[int] = set()
+        #: Position -> exact reading at ``_read_time``, one per warm position
+        #: once :meth:`refresh` has run.
+        self._readings: dict[int, float] = {}
+        self._read_time: float | None = None
         self.stats = IndexStats()
-        for proc in self._procs:
-            if proc.failed:
-                self._parked.add(proc.name)
-            else:
-                self._read_and_push(proc)
+        now = engine.now
+        for i, proc in enumerate(self._procs):
+            if proc.meter.on_wake is not None:
+                raise ClusterError(f"processor {proc.name!r} is already indexed")
+            proc.meter.on_wake = functools.partial(self._wake, i)
+            if not _dormant(proc, now):
+                self._warm.add(i)
 
-    # -- cache maintenance -------------------------------------------------
+    def _wake(self, i: int) -> None:
+        """Processor ``i`` may read non-zero, or its reading changed."""
+        self._warm.add(i)
+        self._stale.add(i)
+        self._readings.pop(i, None)
 
-    def _read_and_push(self, proc: "Processor") -> float:
-        """Take an exact meter reading and (re-)insert the processor."""
-        t = self.engine.now
-        u = proc.utilization()
-        self.stats.meter_reads += 1
-        span = t - max(proc.meter.epoch, t - proc.utilization_window)
-        self._cache[proc.name] = (u, t, span)
-        gen = self._gen[proc.name] + 1
-        self._gen[proc.name] = gen
-        # Key exact for the current timestamp; decays at the next re-key.
-        heapq.heappush(self._heap, (u, proc.name, gen))
-        return u
+    def refresh(self) -> None:
+        """Bring every warm processor's reading up to the current time.
 
-    @staticmethod
-    def _lower_bound(u0: float, span0: float, delta: float) -> float:
-        """Sound lower bound on a windowed busy fraction ``delta`` later."""
-        if delta <= 0.0:
-            return u0
-        if span0 <= 0.0:
-            return 0.0
-        return max(0.0, (u0 * span0 - delta) / (span0 + delta))
-
-    def _unpark_recovered(self) -> None:
-        """Re-admit recovered processors with a fresh reading."""
-        if self._parked:
-            for name in [n for n in self._parked if not self._by_name[n].failed]:
-                self._parked.discard(name)
-                self._read_and_push(self._by_name[name])
-
-    def _ensure_keys(self) -> None:
-        """Re-key the heap for the current time; re-admit recovered nodes."""
-        self._unpark_recovered()
-        t = self.engine.now
-        if t == self._key_time:
-            return
-        self.stats.rekeys += 1
-        self._key_time = t
-        self._fresh_values = None
-        entries: list[tuple[float, str, int]] = []
-        for name, (u0, t0, span0) in self._cache.items():
-            if name in self._parked:
-                continue
-            key = self._lower_bound(u0, span0, t - t0)
-            entries.append((key, name, self._gen[name]))
-        self._heap = entries
-        heapq.heapify(self._heap)
-
-    def refresh(self, names: Iterable[str]) -> None:
-        """Re-read the named processors (after placements/shutdowns).
-
-        Readings taken here keep the heap exact for the current
-        timestamp, so the step's remaining queries stay O(log P).
+        At a new timestamp every warm processor is re-read, or retired
+        when it has gone dormant; at the same timestamp only processors
+        woken since the last pass are.
         """
-        self._ensure_keys()
-        for name in names:
-            proc = self._by_name.get(name)
-            if proc is None or proc.failed or name in self._parked:
-                continue
+        t = self.engine.now
+        if t != self._read_time:
+            self._read_time = t
+            self._readings = {}
+            self._stale = set(self._warm)
             self.stats.refreshes += 1
-            self._read_and_push(proc)
+        elif not self._stale:
+            return
+        procs = self._procs
+        readings = self._readings
+        for i in self._stale:
+            proc = procs[i]
+            if _dormant(proc, t):
+                self._warm.discard(i)
+            else:
+                readings[i] = proc.utilization()
+                self.stats.meter_reads += 1
+        self._stale.clear()
 
     # -- queries -----------------------------------------------------------
 
-    def _pop_live(self) -> tuple[float, str] | None:
-        """Pop the next current-generation, non-failed entry (parking
-        failed ones); ``None`` when the heap is exhausted."""
-        while self._heap:
-            key, name, gen = heapq.heappop(self._heap)
-            self.stats.heap_pops += 1
-            if gen != self._gen[name]:
-                continue
-            if self._by_name[name].failed:
-                self._parked.add(name)
-                self.stats.parks += 1
-                continue
-            return key, name
-        return None
+    def mean(self) -> float:
+        """Mean ``ut(p, t)`` over **all** processors, failed included.
 
-    def _current_exact(self, name: str) -> tuple[float, int]:
-        """Exact utilization of ``name`` now, plus a fresh generation.
-
-        Bumping the generation invalidates every heap copy of the entry;
-        the caller holds the ``(u, name, gen)`` entry in its stash until
-        the query ends, so no processor is examined twice per query.
+        Float-identical to ``sum([p.utilization() for p in processors])
+        / len(processors)``: the dormant terms are exact zeros.
         """
-        u0, t0, _span0 = self._cache[name]
-        if t0 == self._key_time:
-            # Windowed utilization is continuous across same-instant
-            # busy/idle transitions, so a same-time reading is current.
-            u = u0
-        else:
-            proc = self._by_name[name]
-            t = self.engine.now
-            u = proc.utilization()
-            self.stats.meter_reads += 1
-            span = t - max(proc.meter.epoch, t - proc.utilization_window)
-            self._cache[name] = (u, t, span)
-        gen = self._gen[name] + 1
-        self._gen[name] = gen
-        return u, gen
-
-    def _clean_top(self) -> tuple[float, str, int] | None:
-        """Peek the top entry, discarding stale generations and parking
-        failed processors."""
-        while self._heap:
-            key, name, gen = self._heap[0]
-            if gen != self._gen[name]:
-                heapq.heappop(self._heap)
-                self.stats.heap_pops += 1
-                continue
-            if self._by_name[name].failed:
-                heapq.heappop(self._heap)
-                self.stats.heap_pops += 1
-                self._parked.add(name)
-                self.stats.parks += 1
-                continue
-            return key, name, gen
-        return None
+        self.refresh()
+        readings = self._readings
+        return sum([readings[i] for i in sorted(readings)]) / len(self._procs)
 
     def argmin(
         self, exclude: set[str] | frozenset[str] = frozenset()
     ) -> tuple[float, str] | None:
         """Exact ``min((u, name))`` over live processors outside ``exclude``.
 
-        Bit-identical to ``min(candidates, key=lambda p:
-        (p.utilization(), p.name))`` over the live, non-excluded set;
-        ``None`` when that set is empty.
+        Identical to ``min(candidates, key=lambda p: (p.utilization(),
+        p.name))`` over the live, non-excluded set in creation order;
+        ``None`` when that set is empty.  The same ``min`` runs over the
+        candidates that can win: the first (``min`` keeps a NaN first
+        candidate), every warm one, and the first dormant one by name.
         """
-        self._ensure_keys()
+        self.refresh()
         self.stats.argmin_queries += 1
-        best: tuple[float, str] | None = None
-        stashed: list[tuple[float, str, int]] = []
-        while True:
-            top = self._clean_top()
-            if top is None:
-                break
-            key, name, gen = top
-            if best is not None and best <= (key, name):
-                # Every remaining entry e has (key_e, name_e) >= (key,
-                # name) and u_e >= key_e, so (u_e, name_e) cannot beat
-                # best: if u_e > best[0] it loses outright; if u_e ==
-                # best[0] then key_e == key == best[0] forces name_e >=
-                # name >= best[1].
-                break
-            heapq.heappop(self._heap)
-            self.stats.heap_pops += 1
-            if name in exclude:
-                stashed.append((key, name, gen))
-                continue
-            u, new_gen = self._current_exact(name)
-            stashed.append((u, name, new_gen))
-            if best is None or (u, name) < best:
-                best = (u, name)
-        for entry in stashed:
-            heapq.heappush(self._heap, entry)
-        return best
+        procs = self._procs
+        readings = self._readings
+
+        def candidate(i: int) -> bool:
+            return not procs[i].failed and procs[i].name not in exclude
+
+        first = next((i for i in range(len(procs)) if candidate(i)), None)
+        if first is None:
+            return None
+        dormant = next(
+            (i for i in self._name_order if i not in readings and candidate(i)), first
+        )
+        chosen = sorted({first, dormant, *filter(candidate, readings)})
+        best = min(chosen, key=lambda i: (readings.get(i, 0.0), procs[i].name))
+        return readings.get(best, 0.0), procs[best].name
 
     def below(self, threshold: float) -> list["Processor"]:
         """Live processors with exact utilization ``< threshold``.
@@ -277,96 +183,14 @@ class UtilizationIndex:
         Returned in processor creation order — the same order Figure 7's
         ``for every p in PR`` scan visits them.
         """
-        self._ensure_keys()
+        values = self.exact_utilizations()
         self.stats.below_queries += 1
-        fresh = self._fresh_values
-        if fresh is not None:
-            # Every processor has an exact reading at the current
-            # timestamp (the mean-utilization feed took them all), so
-            # the sweep is a pure comparison pass: no heap motion, no
-            # meter reads, creation order for free.
-            return [
-                proc
-                for proc, u in zip(self._procs, fresh)
-                if u < threshold and not proc.failed
-            ]
-        selected: list[str] = []
-        stashed: list[tuple[float, str, int]] = []
-        while True:
-            top = self._clean_top()
-            if top is None or top[0] >= threshold:
-                # Remaining entries have u >= key >= threshold.
-                break
-            key, name, gen = top
-            heapq.heappop(self._heap)
-            self.stats.heap_pops += 1
-            u, new_gen = self._current_exact(name)
-            stashed.append((u, name, new_gen))
-            if u < threshold:
-                selected.append(name)
-        for entry in stashed:
-            heapq.heappush(self._heap, entry)
-        selected.sort(key=self._order.__getitem__)
-        return [self._by_name[name] for name in selected]
+        return [
+            p for p, u in zip(self._procs, values) if u < threshold and not p.failed
+        ]
 
     def exact_utilizations(self) -> list[float]:
-        """Exact readings for **all** processors, in creation order.
-
-        Failed processors are read too (the manager's mean-utilization
-        feed includes them); live readings are folded into the cache so
-        subsequent queries at this timestamp are exact.
-
-        At a *new* timestamp this is the cheapest possible way to warm
-        the index: every meter must be read anyway, so the heap is
-        rebuilt wholesale from the exact readings — one linear pass plus
-        a C-level ``heapify``, no per-entry ``heappush`` and no separate
-        lower-bound re-key.  A second call at the same timestamp serves
-        cached readings without touching any meter.
-        """
-        t = self.engine.now
-        if t == self._key_time and self._fresh_values is not None:
-            return self._fresh_values
-        values: list[float] = []
-        if t == self._key_time:
-            self._unpark_recovered()
-            for proc in self._procs:
-                if proc.failed or proc.name in self._parked:
-                    values.append(proc.utilization())
-                    self.stats.meter_reads += 1
-                else:
-                    u0, t0, _span0 = self._cache[proc.name]
-                    if t0 == t:
-                        values.append(u0)
-                    else:
-                        values.append(self._read_and_push(proc))
-            self._fresh_values = values
-            return values
-        self.stats.rekeys += 1
-        self._key_time = t
-        cache = self._cache
-        gens = self._gen
-        parked = self._parked
-        entries: list[tuple[float, str, int]] = []
-        for proc in self._procs:
-            # Inlined proc.utilization() with its default arguments —
-            # one call layer less on the only per-step O(P) read pass.
-            u = proc.meter.utilization(t, proc.utilization_window)
-            values.append(u)
-            name = proc.name
-            if proc.failed:
-                if name not in parked:
-                    parked.add(name)
-                    self.stats.parks += 1
-                continue
-            if parked:
-                parked.discard(name)
-            span = t - max(proc.meter.epoch, t - proc.utilization_window)
-            cache[name] = (u, t, span)
-            # The heap is replaced wholesale, so no stale copy of any
-            # entry survives — the current generation can be reused.
-            entries.append((u, name, gens[name]))
-        self.stats.meter_reads += len(values)
-        heapq.heapify(entries)
-        self._heap = entries
-        self._fresh_values = values
-        return values
+        """Exact readings for **all** processors, in creation order."""
+        self.refresh()
+        get = self._readings.get
+        return [get(i, 0.0) for i in range(len(self._procs))]

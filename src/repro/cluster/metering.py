@@ -18,6 +18,7 @@ window it is asked to serve, so memory stays bounded in long sweeps.
 from __future__ import annotations
 
 import bisect
+from typing import Callable
 
 
 class UtilizationMeter:
@@ -42,6 +43,8 @@ class UtilizationMeter:
         self._busy_since: float | None = None
         self._total_busy = 0.0
         self._last_time = 0.0
+        #: Called with no arguments on every idle→busy transition.
+        self.on_wake: Callable[[], None] | None = None
 
     # -- signal input -------------------------------------------------------
 
@@ -55,6 +58,8 @@ class UtilizationMeter:
             if self._busy_since is None:
                 self._busy_since = now
                 self._checkpoint(now)
+                if self.on_wake is not None:
+                    self.on_wake()
         else:
             if self._busy_since is not None:
                 self._total_busy += now - self._busy_since
@@ -124,6 +129,17 @@ class UtilizationMeter:
             return 1.0 if self._busy_since is not None else 0.0
         frac = self.busy_between(start, now) / span
         return min(1.0, max(0.0, frac))
+
+    def reads_zero(self, now: float, window: float) -> bool:
+        """Whether :meth:`utilization` at ``now`` is exactly ``0.0``.
+
+        True when the signal is idle with no transition after the window
+        start: both window ends then read the same running busy total,
+        and ``x - x`` is an exact zero.
+        """
+        return self._busy_since is None and self._times[-1] <= max(
+            self.epoch, now - window
+        )
 
     def lifetime_utilization(self, now: float) -> float:
         """Busy fraction over ``[epoch, now]``."""

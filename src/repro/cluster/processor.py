@@ -149,11 +149,7 @@ class Processor:
         self.completed_jobs = 0
         self.failed = False
         self.failure_count = 0
-        #: Optional sensor-fault transform applied to every utilization
-        #: reading (chaos injection: stale/corrupted monitor inputs).
-        #: The meter itself stays truthful — only the *reported* value
-        #: is transformed, so measured experiment metrics are unaffected.
-        self.reading_fault: Callable[[float], float] | None = None
+        self._reading_fault: Callable[[float], float] | None = None
         # PS state
         self._active: dict[int, Job] = {}
         self._last_update = engine.now
@@ -250,13 +246,29 @@ class Processor:
             return True
         return False
 
+    @property
+    def reading_fault(self) -> Callable[[float], float] | None:
+        """Optional sensor-fault transform applied to every utilization
+        reading (chaos injection: stale/corrupted monitor inputs).
+
+        The meter itself stays truthful, so measured experiment metrics
+        are unaffected.  Setting it fires the meter's wake hook.
+        """
+        return self._reading_fault
+
+    @reading_fault.setter
+    def reading_fault(self, fault: Callable[[float], float] | None) -> None:
+        self._reading_fault = fault
+        if self.meter.on_wake is not None:
+            self.meter.on_wake()
+
     def utilization(self, now: float | None = None, window: float | None = None) -> float:
         """``ut(p, t)``: busy fraction over the trailing window."""
         t = self.engine.now if now is None else now
         w = self.utilization_window if window is None else window
         reading = self.meter.utilization(t, w)
-        if self.reading_fault is not None:
-            reading = self.reading_fault(reading)
+        if self._reading_fault is not None:
+            reading = self._reading_fault(reading)
         return reading
 
     @property

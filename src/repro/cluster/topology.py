@@ -47,21 +47,16 @@ class System:
     clocks: list[NodeClock]
     clock_sync: ClockSyncService | None
     rng: RngRegistry
-    #: Serve utilization queries from the incremental index (bit-identical
-    #: to the scan; disable to benchmark the pre-index path).
-    use_utilization_index: bool = True
 
     _by_name: dict[str, Processor] = field(init=False, repr=False)
-    utilization_index: UtilizationIndex | None = field(
-        init=False, repr=False, default=None
-    )
+    #: Serves the default-window utilization queries below.
+    utilization_index: UtilizationIndex = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._by_name = {p.name: p for p in self.processors}
         if len(self._by_name) != len(self.processors):
             raise ClusterError("duplicate processor names")
-        if self.use_utilization_index and self.processors:
-            self.utilization_index = UtilizationIndex(self.engine, self.processors)
+        self.utilization_index = UtilizationIndex(self.engine, self.processors)
 
     # -- lookup ----------------------------------------------------------------
 
@@ -88,6 +83,9 @@ class System:
 
     def utilizations(self, window: float | None = None) -> dict[str, float]:
         """``ut(p, t)`` for every processor at the current time."""
+        if window is None:
+            values = self.utilization_index.exact_utilizations()
+            return dict(zip(self._by_name, values))
         return {p.name: p.utilization(window=window) for p in self.processors}
 
     def least_utilized(
@@ -98,28 +96,22 @@ class System:
         This is step 3 of the paper's Figure 5 (``p_min``); failed
         processors are never candidates.  ``None`` if the exclusion set
         (plus failures) covers every processor.  Ties break by name.
-
-        Served from the incremental utilization index (O(log P) on the
-        hot path, bit-identical results); non-default windows and
-        index-less systems fall back to the full scan.
+        Default-window queries are served by the utilization index;
+        a non-default ``window`` reads every candidate.
         """
-        if self.utilization_index is None or window is not None:
-            return self.least_utilized_scan(exclude=exclude, window=window)
+        if window is not None:
+            candidates = [
+                p for p in self.processors if p.name not in exclude and not p.failed
+            ]
+            return min(
+                candidates,
+                key=lambda p: (p.utilization(window=window), p.name),
+                default=None,
+            )
         found = self.utilization_index.argmin(exclude=exclude)
         if found is None:
             return None
         return self._by_name[found[1]]
-
-    def least_utilized_scan(
-        self, exclude: set[str] | frozenset[str] = frozenset(), window: float | None = None
-    ) -> Processor | None:
-        """Reference O(P) implementation of :meth:`least_utilized`."""
-        candidates = [
-            p for p in self.processors if p.name not in exclude and not p.failed
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda p: (p.utilization(window=window), p.name))
 
     def processors_below(
         self, threshold: float, window: float | None = None
@@ -127,45 +119,23 @@ class System:
         """Live processors with ``ut(p, t) < threshold``, in creation order.
 
         This is Figure 7's candidate sweep; like :meth:`least_utilized`
-        it is served from the utilization index when possible and is
-        bit-identical to :meth:`processors_below_scan`.
+        it is served by the utilization index unless ``window`` is given.
         """
-        if self.utilization_index is None or window is not None:
-            return self.processors_below_scan(threshold, window=window)
+        if window is not None:
+            return [
+                p
+                for p in self.processors
+                if not p.failed and p.utilization(window=window) < threshold
+            ]
         return self.utilization_index.below(threshold)
-
-    def processors_below_scan(
-        self, threshold: float, window: float | None = None
-    ) -> list[Processor]:
-        """Reference O(P) implementation of :meth:`processors_below`."""
-        return [
-            p
-            for p in self.processors
-            if not p.failed and p.utilization(window=window) < threshold
-        ]
 
     def mean_utilization(self) -> float:
         """Mean ``ut(p, t)`` over **all** processors (failed included).
 
         Float-identical to ``sum([p.utilization() for p in processors])
-        / len(processors)``; when the index is active the readings are
-        folded into it so the step's later queries hit warm entries.
+        / len(processors)``.
         """
-        if self.utilization_index is not None:
-            values = self.utilization_index.exact_utilizations()
-        else:
-            values = [p.utilization() for p in self.processors]
-        return sum(values) / len(values)
-
-    def notify_placement_change(self, names: "set[str] | frozenset[str]") -> None:
-        """Refresh index entries after replicas were placed/shut down.
-
-        Placements don't change utilization at the decision instant, but
-        re-reading the touched processors keeps their heap keys exact so
-        the remaining queries of this RM step stay O(log P).
-        """
-        if self.utilization_index is not None and names:
-            self.utilization_index.refresh(names)
+        return self.utilization_index.mean()
 
     def live_processors(self) -> list[Processor]:
         """All processors currently up."""
@@ -191,7 +161,6 @@ def build_system(
     speed_factors: tuple[float, ...] | None = None,
     seed: int = 0,
     telemetry: TelemetryHub | None = None,
-    use_utilization_index: bool = True,
 ) -> System:
     """Construct the Table 1 baseline system (or a variant of it).
 
@@ -254,5 +223,4 @@ def build_system(
         clocks=clocks,
         clock_sync=sync,
         rng=rng,
-        use_utilization_index=use_utilization_index,
     )

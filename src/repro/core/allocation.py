@@ -16,9 +16,10 @@ user-registered policies written against the historical API.
 **Level 2 — per-cycle**: an :class:`Allocator` receives one
 :class:`AllocationContext` per monitoring cycle — every replication
 candidate the monitor flagged, the full utilization snapshot (served by
-the :class:`~repro.cluster.index.UtilizationIndex` when armed), the
-estimator, the stage budgets, and the hardened loop's exclusions — and
-returns an :class:`AllocationPlan`.  The
+the :class:`~repro.cluster.index.UtilizationIndex`, which reads only the
+processors active in the last window), the estimator, the stage budgets,
+and the hardened loop's exclusions — and returns an
+:class:`AllocationPlan`.  The
 :class:`~repro.core.manager.AdaptiveResourceManager` drives level 2
 exclusively.
 
@@ -192,10 +193,10 @@ class AllocationContext:
     ) -> dict[str, float]:
         """``ut(p, t)`` for every processor, reading-guard applied.
 
-        With the default window the snapshot is served through the
-        incremental :class:`~repro.cluster.index.UtilizationIndex`-backed
-        readings the paper policies see; cycle-scoped allocators price
-        or rank the whole cluster from this one dict instead of issuing
+        With the default window the snapshot comes from the
+        :class:`~repro.cluster.index.UtilizationIndex` that also serves
+        the paper policies' queries; cycle-scoped allocators price or
+        rank the whole cluster from this one dict instead of issuing
         per-candidate queries.
         """
         raw = self.system.utilizations(window=window)

@@ -3,8 +3,9 @@
 Once per task period (just *before* the next release, so a new
 allocation takes effect immediately) the manager:
 
-1. reads the executor's finished-period records and overdue in-flight
-   stages;
+1. reads the tail of the executor's finished-period records (the
+   monitor window, or the records young enough for the age filter) and
+   the overdue in-flight stages;
 2. runs the :class:`~repro.core.monitoring.RuntimeMonitor` to classify
    every replicable subtask;
 3. bundles every REPLICATE candidate into one cycle-scoped
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 from repro.cluster.topology import System
@@ -196,7 +198,8 @@ class AdaptiveResourceManager:
         #: ``(subtask_index, replica_count)`` — the same matching rule
         #: telemetry spans use.
         self._pending_forecasts: dict[tuple[int, int], float] = {}
-        self._breaker_seen: set[int] = set()
+        #: Entries of the executor's ``finish_log`` the breaker has seen.
+        self._breaker_cursor = 0
         # In multi-task deployments eq. 5's buffer term is driven by the
         # *total* periodic workload across tasks (paper §3, property 4 /
         # eq. 5); the coordinator supplies this hook.  Single-task runs
@@ -336,7 +339,7 @@ class AdaptiveResourceManager:
             "deadlines": self.deadlines,
             "history": list(self.history),
             "pending_forecasts": dict(self._pending_forecasts),
-            "breaker_seen": set(self._breaker_seen),
+            "breaker_cursor": self._breaker_cursor,
             "last_observed_period": getattr(self, "_last_observed_period", -1),
             "last_step_time": self.last_step_time,
         }
@@ -375,7 +378,7 @@ class AdaptiveResourceManager:
         self.deadlines = state["deadlines"]  # type: ignore[assignment]
         self.history = list(state["history"])  # type: ignore[arg-type]
         self._pending_forecasts = dict(state["pending_forecasts"])  # type: ignore[arg-type]
-        self._breaker_seen = set(state["breaker_seen"])  # type: ignore[arg-type]
+        self._breaker_cursor = int(state["breaker_cursor"])  # type: ignore[arg-type]
         self._last_observed_period = state["last_observed_period"]
         self.last_step_time = float(state["last_step_time"])  # type: ignore[arg-type]
         guard_state = state.get("guard")
@@ -442,19 +445,22 @@ class AdaptiveResourceManager:
                     recoveries.append((subtask.index, dead, target.name))
         return recoveries
 
-    def _feed_observations(self, records) -> None:
+    def _feed_observations(self) -> None:
         """Push fresh stage measurements to a learning estimator.
 
         Duck-typed: if the estimator exposes ``observe_stage`` (see
         :class:`repro.regression.online.OnlineCorrectedEstimator`), the
-        most recent completed period's execution latencies are reported,
+        most recent finished period's execution latencies are reported,
         with the per-replica share and the current mean utilization as
         the query conditions.
         """
         observe = getattr(self.estimator, "observe_stage", None)
-        if observe is None or not records:
+        if observe is None:
             return
-        record = records[-1]
+        latest = self.executor.finished_tail(1)
+        if not latest:
+            return
+        record = latest[0]
         if record.period_index <= getattr(self, "_last_observed_period", -1):
             return
         self._last_observed_period = record.period_index
@@ -465,18 +471,19 @@ class AdaptiveResourceManager:
             share = record.d_tracks / max(stage.replica_count, 1)
             observe(stage.subtask_index, share, mean_u, stage.exec_latency)
 
-    def _feed_breaker(self, now: float, records) -> None:
+    def _feed_breaker(self, now: float) -> None:
         """Match realized stage latencies to pending Figure 5 forecasts.
 
-        Uses the same ``(subtask_index, replica_count)`` key the
+        Consumes the periods finished since the last step, in period
+        order.  Uses the same ``(subtask_index, replica_count)`` key the
         telemetry span recorder uses, so the breaker sees exactly the
         predicted-vs-realized pairs the observability stack reports.
         """
         assert self.breaker is not None
-        for record in records:
-            if record.period_index in self._breaker_seen:
-                continue
-            self._breaker_seen.add(record.period_index)
+        log = self.executor.finish_log
+        fresh = sorted(log[self._breaker_cursor :], key=attrgetter("period_index"))
+        self._breaker_cursor = len(log)
+        for record in fresh:
             for stage in record.stages:
                 if stage.stage_latency is None:
                     continue
@@ -494,10 +501,13 @@ class AdaptiveResourceManager:
             telemetry.begin_decision(now)
         step_handle = profiler.begin("rm.step") if profiler is not None else 0
         recoveries = self._handle_failures()
-        records = self.executor.completed_records()
-        self._feed_observations(records)
+        self._feed_observations()
         if self.breaker is not None:
-            self._feed_breaker(now, records)
+            self._feed_breaker(now)
+        max_age = self.monitor.max_record_age_s
+        records = self.executor.finished_tail(
+            self.monitor.window, None if max_age is None else now - max_age
+        )
         overdue = self.executor.overdue_subtasks()
         monitor_handle = profiler.begin("rm.monitor") if profiler is not None else 0
         report = self.monitor.classify(
@@ -585,13 +595,6 @@ class AdaptiveResourceManager:
         if profiler is not None:
             profiler.end(place_handle, events=len(outcomes) + len(shutdowns))
 
-        touched = {name for o in outcomes for name in o.added_processors}
-        touched.update(name for _, name in shutdowns)
-        touched.update(
-            target for _, _, target in recoveries if target is not None
-        )
-        self.system.notify_placement_change(touched)
-
         event = RMEvent(
             time=now,
             report=report,
@@ -620,11 +623,10 @@ class AdaptiveResourceManager:
                 telemetry.on_breaker_state(
                     now, self.breaker.state, self.breaker.trips
                 )
-            if self.system.utilization_index is not None:
-                telemetry.on_index_stats(
-                    self.system.engine.now,
-                    self.system.utilization_index.stats.as_dict(),
-                )
+            telemetry.on_index_stats(
+                self.system.engine.now,
+                self.system.utilization_index.stats.as_dict(),
+            )
             if profiler is not None:
                 step_wall = profiler.end(step_handle, events=1)
                 if telemetry.slo is not None:

@@ -14,7 +14,8 @@ The monitor inspects recent per-stage timing records and classifies each
 * **OK** — otherwise.
 
 Averaging over a short window of periods provides the hysteresis that
-keeps one noisy measurement from flapping the allocation.
+keeps one noisy measurement from flapping the allocation; the manager
+therefore hands the monitor only a bounded tail of the finished periods.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class RuntimeMonitor:
     utilization_index:
         Optional :class:`~repro.cluster.index.UtilizationIndex`; when
         both it and telemetry are active, each pass also publishes the
-        exact cluster minimum utilization (an O(log P) index query
-        instead of the O(P) scan a naive gauge would cost).
+        exact cluster minimum utilization (an index query that reads
+        only the processors active in the last window).
     max_record_age_s:
         Optional staleness bound (hardened mode, see
         :class:`repro.core.hardening.HardeningConfig`): records whose
@@ -148,7 +149,9 @@ class RuntimeMonitor:
             Current time (for the report timestamp).
         records:
             Finished period records, oldest first; only the trailing
-            ``window`` are used.
+            ``window`` are used, so a suffix from
+            :meth:`repro.runtime.executor.PeriodicTaskExecutor.finished_tail`
+            gives the same verdicts as the full history.
         deadlines:
             Current per-stage budgets.
         assignment:
@@ -159,16 +162,7 @@ class RuntimeMonitor:
         """
         if self.max_record_age_s is not None:
             horizon = now - self.max_record_age_s
-            records = [
-                record
-                for record in records
-                if (
-                    record.completion_time
-                    if record.completion_time is not None
-                    else record.release_time
-                )
-                >= horizon
-            ]
+            records = [record for record in records if record.resolved_at >= horizon]
         recent = records[-self.window :]
         verdicts: list[SubtaskVerdict] = []
         for subtask in self.task.subtasks:

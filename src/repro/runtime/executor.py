@@ -229,9 +229,6 @@ class PeriodicTaskExecutor:
         ``ds(T, c)``: maps period index to the number of tracks released.
     config:
         Execution-model tunables.
-    on_period_complete:
-        Optional callback ``(PeriodRecord) -> None`` fired at completion
-        or abort.
     """
 
     def __init__(
@@ -241,16 +238,16 @@ class PeriodicTaskExecutor:
         assignment: ReplicaAssignment,
         workload: Callable[[int], float],
         config: ExecutorConfig | None = None,
-        on_period_complete: Callable[[PeriodRecord], None] | None = None,
     ) -> None:
         self.system = system
         self.task = task
         self.assignment = assignment
         self.workload = workload
         self.config = config if config is not None else ExecutorConfig()
-        self.on_period_complete = on_period_complete
         self.rng: np.random.Generator = system.rng.stream(self.config.noise_stream)
         self.records: list[PeriodRecord] = []
+        #: Finished (completed or aborted) records in the order they finished.
+        self.finish_log: list[PeriodRecord] = []
         self.current_period_index = -1
         self.current_d_tracks = 0.0
         self._in_flight: dict[int, _InFlight] = {}
@@ -292,7 +289,7 @@ class PeriodicTaskExecutor:
         if d_tracks == 0.0:
             # Nothing to process: the period trivially completes.
             record.completion_time = now
-            self._notify(record)
+            self.finish_log.append(record)
             return
         flight = _InFlight(record)
         self._in_flight[period_index] = flight
@@ -381,7 +378,7 @@ class PeriodicTaskExecutor:
             telemetry.on_period_complete(
                 self.system.engine.now, flight.record, self.task.name
             )
-        self._notify(flight.record)
+        self.finish_log.append(flight.record)
 
     def _watchdog(self, period_index: int) -> None:
         flight = self._in_flight.get(period_index)
@@ -401,17 +398,41 @@ class PeriodicTaskExecutor:
             telemetry.on_period_abort(
                 self.system.engine.now, flight.record, self.task.name
             )
-        self._notify(flight.record)
-
-    def _notify(self, record: PeriodRecord) -> None:
-        if self.on_period_complete is not None:
-            self.on_period_complete(record)
+        self.finish_log.append(flight.record)
 
     # -- views for the monitor -------------------------------------------------------
 
     def completed_records(self) -> list[PeriodRecord]:
         """All records that have finished (completed or aborted)."""
         return [r for r in self.records if r.completed or r.aborted]
+
+    def finished_tail(
+        self, count: int, horizon: float | None = None
+    ) -> list[PeriodRecord]:
+        """The newest finished records a ``count``-period window can use.
+
+        A suffix of :meth:`completed_records`, found by walking back
+        from the newest release past the periods still in flight: the
+        last ``count`` finished records, where, given ``horizon``,
+        records resolved before it do not count.  The walk stops at the
+        first period released so early that it resolved before
+        ``horizon``, since every period completes or is aborted by
+        ``release + drop_factor * period``.
+        """
+        records = self.records
+        lag = self.config.drop_factor * self.task.period
+        start = len(records)
+        kept = 0
+        while start > 0 and kept < count:
+            record = records[start - 1]
+            if horizon is not None and record.release_time + lag < horizon:
+                break
+            start -= 1
+            if (record.completed or record.aborted) and (
+                horizon is None or record.resolved_at >= horizon
+            ):
+                kept += 1
+        return [r for r in records[start:] if r.completed or r.aborted]
 
     def overdue_subtasks(self) -> set[int]:
         """Subtask indices whose stage is in flight past the period deadline.

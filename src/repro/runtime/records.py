@@ -78,6 +78,13 @@ class PeriodRecord:
         return self.completion_time is not None
 
     @property
+    def resolved_at(self) -> float:
+        """Completion time, or release time for a record that never completed."""
+        if self.completion_time is None:
+            return self.release_time
+        return self.completion_time
+
+    @property
     def latency(self) -> float | None:
         """End-to-end latency, or ``None`` while in flight / if aborted."""
         if self.completion_time is None:

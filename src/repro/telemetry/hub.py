@@ -318,10 +318,10 @@ class TelemetryHub:
 
         ``stats`` are the cumulative counters of
         :class:`repro.cluster.index.IndexStats` (argmin/threshold
-        queries, re-keys, heap pops, meter reads, refreshes, parks),
-        published as ``cluster.index.*`` gauges so a regression in index
-        efficiency — e.g. meter reads creeping back toward P per query —
-        is visible in existing dashboards.
+        queries, meter reads, per-timestamp refreshes), published as
+        ``cluster.index.*`` gauges so a regression in index efficiency —
+        e.g. meter reads per refresh creeping back toward P — is visible
+        in existing dashboards.
         """
         self._tick(now)
         for name, value in stats.items():

@@ -87,17 +87,12 @@ class TestBasicExecution:
         with pytest.raises(ConfigurationError):
             system.engine.run_until(1.0)
 
-    def test_completion_callback_fires(self):
-        done = []
-        system, task, assignment, _ = make_executor()
-        executor = PeriodicTaskExecutor(
-            system, task, assignment,
-            workload=lambda c: 500.0,
-            on_period_complete=done.append,
-        )
+    def test_finish_log_records_each_finished_period(self):
+        system, _, _, executor = make_executor(workload=lambda c: 500.0)
         executor.start(2)
         system.engine.run_until(3.0)
-        assert len(done) == 2
+        assert executor.finish_log == executor.records
+        assert executor.finished_tail(5) == executor.completed_records()
 
     def test_current_period_tracking(self):
         system, _, _, executor = make_executor(workload=lambda c: 100.0 * (c + 1))

@@ -5,7 +5,9 @@ obtained by a single experiment").  For a trustworthy reproduction we
 also quantify run-to-run variability: :func:`replicate_experiment` runs
 an experiment under ``n_seeds`` independent seeds and summarizes each
 metric with mean, standard deviation and a Student-t confidence
-interval (scipy).
+interval.  The t quantile comes from scipy, which is imported on the
+first interval, not with this module: importing ``repro`` stays free of
+scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
@@ -60,6 +61,12 @@ class ReplicatedResult:
             ) from None
 
 
+def _check_confidence(confidence: float) -> None:
+    """Reject a confidence level outside the open interval (0, 1)."""
+    if not 0.0 < confidence < 1.0:
+        raise ConfigurationError(f"confidence must be in (0, 1), got {confidence}")
+
+
 @lru_cache(maxsize=None)
 def _t_critical(confidence: float, df: int) -> float:
     """Memoized Student-t critical value.
@@ -67,12 +74,21 @@ def _t_critical(confidence: float, df: int) -> float:
     ``summarize`` is called once per metric per replication study with
     identical ``(confidence, df)`` arguments, and ``scipy.stats.t.ppf``
     dominates its cost — cache the quantile instead of recomputing it.
+    scipy is imported here, on the first call, so that only a process
+    that builds an interval pays its import.
     """
+    from scipy import stats
+
     return float(stats.t.ppf(0.5 + confidence / 2.0, df=df))
 
 
 def summarize(name: str, values: list[float], confidence: float = 0.95) -> MetricSummary:
-    """Mean, sd and Student-t CI of a sample of metric values."""
+    """Mean, sd and Student-t CI of a sample of metric values.
+
+    Raises :class:`ConfigurationError` on an empty sample or a
+    ``confidence`` outside the open interval (0, 1).
+    """
+    _check_confidence(confidence)
     if not values:
         raise ConfigurationError("cannot summarize an empty sample")
     arr = np.asarray(values, dtype=float)
@@ -106,8 +122,7 @@ def replicate_experiment(
     """
     if n_seeds < 1:
         raise ConfigurationError(f"need at least one seed, got {n_seeds}")
-    if not 0.0 < confidence < 1.0:
-        raise ConfigurationError(f"confidence must be in (0, 1), got {confidence}")
+    _check_confidence(confidence)  # before the runs, not after them
     if n_jobs != 1:
         # Imported lazily: repro.parallel imports the experiment stack.
         from repro.parallel import run_configs_parallel

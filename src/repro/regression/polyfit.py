@@ -3,9 +3,10 @@
 A thin, explicit OLS layer over :func:`numpy.linalg.lstsq`: callers build
 a design matrix (see :mod:`repro.regression.design`), get back an
 :class:`OLSResult` carrying coefficients, goodness-of-fit statistics and
-(optional, via scipy) coefficient standard errors.  The regression models
-of the paper (eqs. 3 and 5) are all small dense problems, so numerical
-exotica (regularization, QR pivoting) is deliberately out of scope.
+coefficient standard errors (from the residual variance, with numpy).
+The regression models of the paper (eqs. 3 and 5) are all small dense
+problems, so numerical exotica (regularization, QR pivoting) is
+deliberately out of scope.
 """
 
 from __future__ import annotations

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import BaselineConfig, ExperimentConfig
 from repro.experiments.replication import (
+    _t_critical,
     replicate_experiment,
     summarize,
 )
@@ -39,6 +42,32 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             summarize("m", [])
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, math.nan])
+    def test_bad_confidence_rejected(self, confidence):
+        with pytest.raises(ConfigurationError, match="confidence"):
+            summarize("m", [1.0, 2.0, 3.0], confidence=confidence)
+
+    def test_bad_confidence_rejected_for_single_value(self):
+        with pytest.raises(ConfigurationError, match="confidence"):
+            summarize("m", [0.5], confidence=1.5)
+
+
+class TestTCritical:
+    """The quantile source is pinned: a change of it shows here."""
+
+    @pytest.mark.parametrize(
+        ("confidence", "df", "expected"),
+        [
+            (0.95, 1, 12.706204736174694),
+            (0.95, 4, 2.7764451051977934),
+            (0.95, 29, 2.045229642132703),
+            (0.99, 4, 4.604094871349992),
+            (0.80, 4, 1.533206274058944),
+        ],
+    )
+    def test_reference_quantiles(self, confidence, df, expected):
+        assert _t_critical(confidence, df) == pytest.approx(expected, rel=1e-12)
 
 
 class TestReplicateExperiment:

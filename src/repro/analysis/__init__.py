@@ -12,17 +12,17 @@ enforces them with AST passes over the source tree:
 * :mod:`repro.analysis.layering` — ``LAY-*`` rules from the declarative
   contract in ``layering.toml``,
 * :mod:`repro.analysis.pickling` — ``PCK-*`` rules,
-* :mod:`repro.analysis.vector_lint` — ``VEC-*`` rules (sort/dtype
-  discipline in the declared kernel modules),
+* :mod:`repro.analysis.ckpt` — ``CKPT-*`` rules (checkpoint-picklable
+  callbacks and handles),
 * :mod:`repro.analysis.concurrency` — ``CONC-*`` rules, flow-aware over
   the bounded call graph rooted at the pool-worker entry points,
-* :mod:`repro.analysis.facade_lint` — ``API-*`` rules (deprecated-shim
-  use, ``repro.api.__all__`` vs. the reviewed snapshot).
+* :mod:`repro.analysis.facade_lint` — ``API-SNAPSHOT``
+  (``repro.api.__all__`` vs. the reviewed snapshot).
 
 The flow-aware passes see the whole project through
 :class:`~repro.analysis.project.ProjectModel` and
 :class:`~repro.analysis.callgraph.CallGraph`; everything else is
-per-file and cached incrementally (``.repro-lint-cache.json``).
+per-file.  Each run parses every file once and shares the parses.
 
 Run it as ``repro lint src/repro`` (exit code 1 on violations), or via
 :func:`lint_paths`.  Deliberate exceptions are suppressed per line with

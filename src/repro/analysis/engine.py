@@ -1,4 +1,4 @@
-"""Lint driver: per-file passes, project passes, cache, suppressions.
+"""Lint driver: per-file passes, project passes, suppressions.
 
 :func:`lint_paths` is the programmatic entry point (the CLI and the
 tier-1 gate test both call it); :func:`lint_module` runs the per-file
@@ -6,26 +6,24 @@ passes over one already-parsed
 :class:`~repro.analysis.model.ModuleInfo`, which is what the per-pass
 unit tests use with synthetic sources.
 
-The run is split into two kinds of work:
+A run parses every file once and feeds those parses to two kinds of
+work:
 
-* **Per-file passes** (DET/UNIT/LAY/PCK/CKPT/VEC, plus the per-file
-  API rule) see one module at a time and cache cleanly per content hash.
+* **Per-file passes** (DET/UNIT/LAY/PCK/CKPT) see one module at a time.
 * **Project passes** (CONC-* over the call graph, API-SNAPSHOT) see a
   :class:`~repro.analysis.project.ProjectModel` over every file in the
-  run and cache against the signature of the whole file set.
+  run.
 
-Both store **raw, pre-suppression** findings; suppression comments,
+Both produce **raw, pre-suppression** findings; suppression comments,
 ``--select`` filtering, and the stale-suppression check
-(``LINT-UNUSED-NOQA``) are applied at merge time.  A warm run with no
-edits therefore hashes files and parses nothing — the speedup pinned by
-``benchmarks/bench_lint_speed.py``.
+(``LINT-UNUSED-NOQA``) are applied when the two are merged.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.analysis import (
     ckpt,
@@ -35,20 +33,9 @@ from repro.analysis import (
     layering,
     pickling,
     units_lint,
-    vector_lint,
-)
-from repro.analysis.cache import (
-    LintCache,
-    hash_bytes,
-    load_cache,
-    rules_signature,
 )
 from repro.analysis.callgraph import CallGraph
-from repro.analysis.layering import (
-    LayeringContract,
-    contract_text,
-    load_contract,
-)
+from repro.analysis.layering import LayeringContract, load_contract
 from repro.analysis.model import (
     ModuleInfo,
     Rule,
@@ -82,7 +69,6 @@ ALL_RULES: dict[str, Rule] = {
         layering.RULES,
         pickling.RULES,
         ckpt.RULES,
-        vector_lint.RULES,
         concurrency.RULES,
         facade_lint.RULES,
         (UNUSED_NOQA_RULE,),
@@ -106,8 +92,6 @@ def _raw_local_violations(
         *layering.check(info, contract=contract),
         *pickling.check(info),
         *ckpt.check(info),
-        *vector_lint.check(info, contract=contract),
-        *facade_lint.check(info, contract),
     ]
 
 
@@ -154,7 +138,6 @@ def lint_paths(
     paths: Sequence[Path | str],
     contract_path: Path | None = None,
     select: Sequence[str] | None = None,
-    cache_path: Path | str | None = None,
     project_rules: bool = True,
 ) -> tuple[list[Violation], int]:
     """Lint every ``.py`` file under ``paths``.
@@ -163,9 +146,8 @@ def lint_paths(
     *report* to the given rule ids (unknown ids raise
     :class:`~repro.errors.AnalysisError` rather than silently matching
     nothing); the underlying analysis always runs every rule so the
-    cache and the stale-noqa check stay select-independent.
+    stale-noqa check stays select-independent.
 
-    ``cache_path`` enables the persistent incremental cache.
     ``project_rules=False`` skips the project-wide passes (CONC-*,
     API-SNAPSHOT) — the ``--changed`` mode, where a partial file set
     would make whole-project conclusions wrong.
@@ -176,75 +158,36 @@ def lint_paths(
         unknown = selected - set(ALL_RULES)
         if unknown:
             raise AnalysisError(f"unknown rule ids: {sorted(unknown)}")
-    text = contract_text(contract_path)
     contract = load_contract(contract_path)
     files = iter_python_files([Path(p) for p in paths])
 
-    cache: LintCache | None = None
-    if cache_path is not None:
-        cache = load_cache(str(cache_path), rules_signature(text))
-
-    # Phase 1: per-file analysis (cache-aware).
+    # Phase 1: parse each file once and run the per-file passes.
     per_file: dict[str, tuple[list[Violation], list[NoqaComment]]] = {}
-    hashes: dict[str, str] = {}
-    parsed: dict[str, ModuleInfo] = {}
-    sources: dict[str, str] = {}
+    infos: list[ModuleInfo] = []
     for file in files:
         path_str = str(file)
         try:
-            data = file.read_bytes()
+            source = file.read_bytes().decode("utf-8")
         except OSError as exc:
             raise AnalysisError(f"cannot read {file}: {exc}") from exc
-        content_hash = hash_bytes(data)
-        hashes[path_str] = content_hash
-        if cache is not None:
-            record = cache.lookup(path_str, content_hash)
-            if record is not None:
-                per_file[path_str] = (record.raw, record.noqa)
-                continue
-        source = data.decode("utf-8")
-        sources[path_str] = source
         info = parse_source(
             source, module=module_name_for(file), path=path_str
         )
-        parsed[path_str] = info
-        raw = _raw_local_violations(info, contract)
-        comments = iter_noqa_comments(source)
-        per_file[path_str] = (raw, comments)
-        if cache is not None:
-            cache.store(path_str, content_hash, raw, comments)
+        infos.append(info)
+        per_file[path_str] = (
+            _raw_local_violations(info, contract),
+            iter_noqa_comments(source),
+        )
 
-    # Phase 2: project passes (cache-aware over the whole file set).
+    # Phase 2: project passes over the same parses.
     project_raw: list[Violation] = []
     if project_rules:
-        sig_body = ";".join(
-            f"{p}={hashes[p]}" for p in sorted(hashes)
-        )
-        project_sig = hash_bytes(sig_body.encode("utf-8"))
-        cached = cache.lookup_project(project_sig) if cache else None
-        if cached is not None:
-            project_raw = cached
-        else:
-            infos = []
-            for file in files:
-                path_str = str(file)
-                info = parsed.get(path_str)
-                if info is None:
-                    source = sources.get(path_str)
-                    if source is None:
-                        source = file.read_text(encoding="utf-8")
-                    info = parse_source(
-                        source, module=module_name_for(file), path=path_str
-                    )
-                infos.append(info)
-            project = build_project(infos)
-            graph = CallGraph(project)
-            project_raw = [
-                *concurrency.check_project(project, graph, contract),
-                *facade_lint.check_project(project, contract),
-            ]
-            if cache is not None:
-                cache.store_project(project_sig, project_raw)
+        project = build_project(infos)
+        graph = CallGraph(project)
+        project_raw = [
+            *concurrency.check_project(project, graph, contract),
+            *facade_lint.check_project(project, contract),
+        ]
 
     # Phase 3: merge — suppression, stale-noqa, selection (cheap).
     project_by_path: dict[str, list[Violation]] = {}
@@ -279,8 +222,6 @@ def lint_paths(
     if selected is not None:
         violations = [v for v in violations if v.rule_id in selected]
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-    if cache is not None:
-        cache.save()
     return violations, len(files)
 
 
@@ -391,7 +332,3 @@ def render_rules() -> str:
         lines.append(f"{rule_id:15s} {rule.title}")
         lines.append(f"{'':15s}   {rule.rationale}")
     return "\n".join(lines)
-
-
-#: Signature of the per-pass check functions (documentation aid).
-PassFn = Callable[[ModuleInfo], list[Violation]]

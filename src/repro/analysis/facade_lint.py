@@ -1,21 +1,11 @@
-"""Facade-drift lint: the stable public surface (API-*).
+"""Facade-drift lint: the stable public surface (API-SNAPSHOT).
 
 ``repro.api`` is the one supported entry point; everything else may
-move.  Two failure modes erode that guarantee and both are statically
-checkable:
-
-``API-DEPRECATED``
-    An *internal* module imports or references one of the deprecated
-    compatibility shims (``[deprecated] names`` in ``layering.toml``,
-    e.g. ``repro.build_estimator``).  The shims exist so external
-    callers survive one release cycle; internal code reaching through
-    them resurrects the old surface and blocks its removal.
-``API-SNAPSHOT``
-    ``repro.api.__all__`` drifts from the reviewed snapshot
-    (``tests/public_api_snapshot.txt``).  The comparison is static —
-    the ``__all__`` list literal is read from the AST, never imported —
-    so the check runs identically in the linter and in CI.  One
-    violation per missing/extra name keeps the diff reviewable.
+move.  ``API-SNAPSHOT`` flags ``repro.api.__all__`` drifting from the
+reviewed snapshot (``tests/public_api_snapshot.txt``).  The comparison
+is static — the ``__all__`` list literal is read from the AST, never
+imported — so the check runs identically in the linter and in CI.  One
+violation per missing/extra name keeps the diff reviewable.
 """
 
 from __future__ import annotations
@@ -23,19 +13,11 @@ from __future__ import annotations
 import ast
 import os
 
-from repro.analysis.astutils import alias_map, qualified_name
 from repro.analysis.layering import LayeringContract
 from repro.analysis.model import ModuleInfo, Rule, Violation
 from repro.analysis.project import ProjectModel
 
 RULES = (
-    Rule(
-        "API-DEPRECATED",
-        "internal code must not use deprecated shims",
-        "the shims exist only to give external callers a migration "
-        "window; internal uses resurrect the old surface and block "
-        "its removal",
-    ),
     Rule(
         "API-SNAPSHOT",
         "repro.api.__all__ must match the reviewed snapshot",
@@ -43,62 +25,6 @@ RULES = (
         "or removals ship an unreviewed API change",
     ),
 )
-
-
-# -- API-DEPRECATED (per-file) ----------------------------------------------
-
-
-def check(
-    info: ModuleInfo, contract: LayeringContract
-) -> list[Violation]:
-    """Flag imports/references of deprecated shim names in ``info``.
-
-    Only internal ``repro.*`` modules are checked — examples and
-    scripts mimic external callers and may exercise the shims on
-    purpose (their own deprecation warnings cover them).
-    """
-    if not contract.deprecated or info.module.split(".")[0] != "repro":
-        return []
-    violations: list[Violation] = []
-    seen: set[tuple[int, str]] = set()
-
-    def flag(node: ast.AST, shim: str) -> None:
-        key = (node.lineno, shim)
-        if key in seen:
-            return
-        seen.add(key)
-        violations.append(
-            Violation(
-                "API-DEPRECATED",
-                info.path,
-                node.lineno,
-                node.col_offset,
-                f"internal use of deprecated shim `{shim}`",
-                "call the replacement exported by repro.api instead",
-            )
-        )
-
-    aliases = alias_map(info.tree)
-    for node in ast.walk(info.tree):
-        if isinstance(node, ast.ImportFrom):
-            if node.module is None or node.level:
-                continue
-            for name in node.names:
-                shim = f"{node.module}.{name.name}"
-                if shim in contract.deprecated:
-                    flag(node, shim)
-        elif isinstance(node, ast.Attribute):
-            qname = qualified_name(node, aliases)
-            if qname in contract.deprecated:
-                flag(node, qname)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            qname = aliases.get(node.id)
-            if qname in contract.deprecated:
-                flag(node, qname)
-    return violations
-
-
-# -- API-SNAPSHOT (project pass) --------------------------------------------
 
 
 def check_project(
@@ -152,8 +78,8 @@ def check_project(
                 0,
                 f"`{name}` is in {contract.facade_snapshot} but no "
                 "longer exported by repro.api",
-                "removing a public name needs a deprecation cycle and "
-                "a snapshot update",
+                "remove it from the snapshot in the same PR that "
+                "reviews the API removal",
             )
         )
     return violations

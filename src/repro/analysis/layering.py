@@ -72,8 +72,8 @@ class LayeringContract:
 
     Besides the original layering relation, the contract carries the
     declarative inputs of the project-wide passes: worker entry points
-    and RNG discipline for CONC-*, the kernel-module scope for VEC-*,
-    and the deprecated-name/snapshot declarations for API-*.
+    and RNG discipline for CONC-*, and the facade snapshot for
+    API-SNAPSHOT.
     """
 
     allowed: dict[str, frozenset[str]]
@@ -93,20 +93,40 @@ class LayeringContract:
     streams: tuple[str, ...] = ()
     #: Type names that must never enter a process-pool payload.
     unpicklable: frozenset[str] = frozenset()
-    #: Dotted module prefixes holding batched/kernel code (VEC-*).
-    kernel_modules: tuple[str, ...] = ()
-    #: Deprecated qualified names internal code must not reference.
-    deprecated: frozenset[str] = frozenset()
 
     def packages(self) -> frozenset[str]:
         """Every package the contract knows about."""
         return frozenset(self.allowed)
 
-    def in_kernel_scope(self, module: str) -> bool:
-        """Whether ``module`` falls under a declared kernel prefix."""
-        return any(
-            module == prefix or module.startswith(prefix + ".")
-            for prefix in self.kernel_modules
+
+#: Keys each table may hold (``None``: keys are package names).
+_SCHEMA: dict[str, frozenset[str] | None] = {
+    "allowed": None,
+    "restricted": None,
+    "facade": frozenset({"roots", "allowed", "snapshot"}),
+    "concurrency": frozenset(
+        {"entry_points", "rng_factories", "streams", "unpicklable"}
+    ),
+}
+
+
+def _reject_unknown_names(data: dict, origin: str) -> None:
+    """Raise naming every table or key the contract schema lacks.
+
+    A misspelt table or key would otherwise read as empty and silently
+    switch off the rules it configures.
+    """
+    unknown = [f"[{table}]" for table in data if table not in _SCHEMA]
+    for table, keys in _SCHEMA.items():
+        body = data.get(table)
+        if keys is None or not isinstance(body, dict):
+            continue
+        unknown.extend(f"{table}.{key}" for key in body if key not in keys)
+    if unknown:
+        raise AnalysisError(
+            f"layering contract {origin}: unknown "
+            f"{', '.join(unknown)}; known tables: "
+            f"{', '.join(f'[{t}]' for t in _SCHEMA)}"
         )
 
 
@@ -114,13 +134,14 @@ def parse_contract(text: str, origin: str = "<contract>") -> LayeringContract:
     """Parse and validate contract TOML text.
 
     Raises :class:`~repro.errors.AnalysisError` on malformed documents:
-    unknown packages in dependency lists, non-list values, or a
-    relation that is not a DAG.
+    unknown tables or keys, unknown packages in dependency lists,
+    non-list values, or a relation that is not a DAG.
     """
     try:
         data = tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
         raise AnalysisError(f"invalid layering contract {origin}: {exc}") from exc
+    _reject_unknown_names(data, origin)
     raw_allowed = data.get("allowed")
     if not isinstance(raw_allowed, dict) or not raw_allowed:
         raise AnalysisError(f"layering contract {origin} needs an [allowed] table")
@@ -198,13 +219,6 @@ def parse_contract(text: str, origin: str = "<contract>") -> LayeringContract:
                 f"layering contract {origin}: entry point {entry!r} must "
                 "be a fully qualified `repro.module.function` name"
             )
-    vectorization = _string_list_table(
-        data.get("vectorization", {}), ("kernel_modules",), origin,
-        "vectorization",
-    )
-    deprecated = _string_list_table(
-        data.get("deprecated", {}), ("names",), origin, "deprecated"
-    )
     return LayeringContract(
         allowed=allowed,
         lazy_allow=frozenset(lazy_pairs),
@@ -216,8 +230,6 @@ def parse_contract(text: str, origin: str = "<contract>") -> LayeringContract:
         rng_factories=frozenset(concurrency["rng_factories"]),
         streams=tuple(concurrency["streams"]),
         unpicklable=frozenset(concurrency["unpicklable"]),
-        kernel_modules=tuple(vectorization["kernel_modules"]),
-        deprecated=frozenset(deprecated["names"]),
     )
 
 
@@ -264,29 +276,20 @@ def _require_dag(allowed: dict[str, frozenset[str]], origin: str) -> None:
         visit(pkg, ())
 
 
-def contract_text(path: Path | None = None) -> str:
-    """Raw TOML text of the packaged default contract or an explicit file.
-
-    Exposed separately so the lint cache can fingerprint the contract
-    bytes without re-parsing.
-    """
-    if path is not None:
-        try:
-            return path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise AnalysisError(f"cannot read contract {path}: {exc}") from exc
-    return (
-        resources.files("repro.analysis")
-        .joinpath("layering.toml")
-        .read_text(encoding="utf-8")
-    )
-
-
 def load_contract(path: Path | None = None) -> LayeringContract:
     """Load the packaged default contract, or an explicit file."""
-    text = contract_text(path)
-    origin = str(path) if path is not None else "repro/analysis/layering.toml"
-    return parse_contract(text, origin=origin)
+    if path is None:
+        text = (
+            resources.files("repro.analysis")
+            .joinpath("layering.toml")
+            .read_text(encoding="utf-8")
+        )
+        return parse_contract(text, origin="repro/analysis/layering.toml")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise AnalysisError(f"cannot read contract {path}: {exc}") from exc
+    return parse_contract(text, origin=str(path))
 
 
 def _importer_package(info: ModuleInfo) -> str | None:

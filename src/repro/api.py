@@ -15,19 +15,18 @@ re-exported here under one flat namespace::
         estimator=estimator,
     )
 
-``__all__`` below *is* the compatibility contract: names listed there
-follow deprecation policy (a release of DeprecationWarning before
-removal) and are pinned by ``tests/test_public_api.py`` against a
-checked-in snapshot.  Deep imports (``repro.core.manager``, ...) keep
-working but carry no such promise — the ``repro lint`` LAY-FACADE rule
-keeps the shipped examples and scripts off them.
+``__all__`` below *is* the compatibility contract, pinned by
+``tests/test_public_api.py`` against the checked-in snapshot
+``tests/public_api_snapshot.txt``: adding or removing a name means
+updating the snapshot in the same change, where review sees it (the
+``repro lint`` API-SNAPSHOT rule checks the two agree).  Deep imports
+(``repro.core.manager``, ...) keep working but carry no such promise —
+the ``repro lint`` LAY-FACADE rule keeps the shipped examples and
+scripts off them.
 
-:func:`fit_estimator` is the single estimator entry point, merging the
-two historical ones: ``repro.bench.build_estimator(task, ...)`` (fresh
-profiling campaign for a custom task) and
-``repro.experiments.get_default_estimator(baseline, ...)`` (cached fit
-for a baseline configuration).  Both old names still work everywhere
-they used to exist, with a DeprecationWarning.
+:func:`fit_estimator` is the single estimator entry point: a baseline
+configuration gets the cached fit, ``task=`` a fresh profiling
+campaign for a custom task.
 """
 
 from __future__ import annotations

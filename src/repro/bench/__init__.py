@@ -18,7 +18,8 @@ package provides a synthetic equivalent (documented in DESIGN.md §2):
   coefficients, shipped verbatim for comparison and exact-paper runs.
 * :mod:`repro.bench.profiler` — the measurement campaigns of §4.2.1
   (latency vs (d, u) grid; buffer delay vs periodic load) and the
-  ``build_estimator`` convenience entry point.
+  ``build_estimator`` convenience entry point (public spelling:
+  :func:`repro.api.fit_estimator` with ``task=``).
 """
 
 from repro.bench.app import aaw_task, default_initial_placement
@@ -53,22 +54,3 @@ __all__ = [
     "profile_subtask",
 ]
 
-
-def __getattr__(name: str):
-    # Pre-facade estimator entry point (PEP 562 shim); the supported
-    # spellings are repro.api.fit_estimator(task=...) for a one-off
-    # profiling campaign and repro.bench.profiler.build_estimator for
-    # the underlying implementation.
-    if name == "build_estimator":
-        import warnings
-
-        from repro.bench import profiler
-
-        warnings.warn(
-            "repro.bench.build_estimator is deprecated; use "
-            "repro.api.fit_estimator(task=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return profiler.build_estimator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

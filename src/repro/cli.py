@@ -732,29 +732,42 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _changed_python_files(ref: str) -> list[str]:
-    """Tracked-changed plus untracked ``.py`` files vs. ``ref``."""
+    """Tracked-changed plus untracked ``.py`` files vs. ``ref``.
+
+    ``git diff`` prints paths from the repository root whatever the
+    working directory, and ``git ls-files`` lists only below it, so both
+    listings run at the root.  Each path is returned as the way back to
+    the root plus the root-relative path (``../src/repro/sim/rng.py``
+    from ``src/``), which keeps the ``repro`` component the linter
+    derives module names from.
+    """
+    import os
     import subprocess
 
-    out: list[str] = []
-    for cmd in (
-        ["git", "diff", "--name-only", ref, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
+    def git(*args: str, cwd: str | None = None) -> list[str]:
         proc = subprocess.run(
-            cmd, capture_output=True, text=True, check=False
+            ["git", *args], capture_output=True, text=True, check=False,
+            cwd=cwd,
         )
         if proc.returncode != 0:
             raise SystemExit(
-                f"repro lint --changed: {' '.join(cmd)} failed: "
+                f"repro lint --changed: git {' '.join(args)} failed: "
                 f"{proc.stderr.strip()}"
             )
-        out.extend(
-            line for line in proc.stdout.splitlines()
-            if line.endswith(".py")
-        )
-    import os
+        return proc.stdout.splitlines()
 
-    return sorted({path for path in out if os.path.exists(path)})
+    top = git("rev-parse", "--show-toplevel")[0]
+    names = [
+        *git("diff", "--name-only", ref, "--", cwd=top),
+        *git("ls-files", "--others", "--exclude-standard", cwd=top),
+    ]
+    up = os.path.relpath(top)
+    paths = {
+        os.path.normpath(os.path.join(up, name))
+        for name in names
+        if name.endswith(".py")
+    }
+    return sorted(path for path in paths if os.path.exists(path))
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -787,7 +800,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         paths,
         contract_path=Path(args.contract) if args.contract else None,
         select=args.select,
-        cache_path=None if args.no_cache else args.cache,
         project_rules=project_rules,
     )
     if args.format == "json":
@@ -1046,15 +1058,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--contract",
         help="layering contract TOML (default: the packaged layering.toml)",
-    )
-    p_lint.add_argument(
-        "--cache", metavar="PATH", default=".repro-lint-cache.json",
-        help="persistent result cache for incremental runs "
-        "(default: .repro-lint-cache.json)",
-    )
-    p_lint.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the persistent result cache",
     )
     p_lint.add_argument(
         "--changed", nargs="?", const="HEAD", metavar="GIT-REF",

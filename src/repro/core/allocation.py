@@ -31,10 +31,6 @@ redesign (pinned by ``tests/integration/test_allocator_digest_equivalence.py``).
 A registry maps names (``"predictive"``, ``"market"``, ...) to
 factories so experiment configs select allocators by string;
 :func:`get_allocator` instantiates and lifts in one step.
-
-This module is the canonical home of every name that used to live in
-``repro.core.allocator``; the old module path keeps working behind
-:class:`DeprecationWarning` shims.
 """
 
 from __future__ import annotations

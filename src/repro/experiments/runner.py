@@ -79,23 +79,6 @@ class ExperimentResult:
     decision_digest: str = ""
 
 
-def __getattr__(name: str):
-    # Pre-facade name, shimmed per PEP 562: the implementation moved to
-    # repro.experiments.estimator_cache and the public entry point is
-    # repro.api.fit_estimator.
-    if name == "get_default_estimator":
-        import warnings
-
-        warnings.warn(
-            "repro.experiments.runner.get_default_estimator is "
-            "deprecated; use repro.api.fit_estimator",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return estimator_cache.get_estimator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass
 class RunWorld:
     """One assembled, started run — everything a snapshot must capture.

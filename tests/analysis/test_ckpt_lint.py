@@ -142,7 +142,6 @@ class TestRegistration:
         violations, n_files = lint_paths(
             [src],
             select=["CKPT-LAMBDA-CB", "CKPT-LOCAL-CB", "CKPT-HANDLE"],
-            cache_path=None,
             project_rules=False,
         )
         assert n_files > 100

@@ -1,8 +1,10 @@
-"""Lint driver and CLI: file walking, reports, exit codes, rule selection."""
+"""Lint driver and CLI: file walking, reports, exit codes, rule
+selection, stale suppressions, SARIF and ``--changed``."""
 
 from __future__ import annotations
 
 import json
+import subprocess
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.analysis import (
     lint_paths,
     render_json,
     render_rules,
+    render_sarif,
     render_text,
 )
 from repro.cli import main
@@ -94,8 +97,7 @@ class TestRendering:
         # a rule from the catalogue.  Spot-check the expected families.
         families = {rid.split("-")[0] for rid in ALL_RULES}
         assert families == {
-            "DET", "UNIT", "LAY", "PCK", "CKPT", "VEC", "CONC", "API",
-            "LINT",
+            "DET", "UNIT", "LAY", "PCK", "CKPT", "CONC", "API", "LINT",
         }
 
 
@@ -133,3 +135,158 @@ class TestCli:
     def test_lint_bad_path_reports_error(self, tmp_path, capsys):
         assert main(["lint", str(tmp_path / "missing")]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestUnusedNoqa:
+    def test_stale_suppression_flagged(self, tmp_path):
+        root = make_tree(tmp_path, {
+            "sim/a.py": "x = 1  # repro: noqa DET-TIME\n",
+        })
+        violations, _ = lint_paths([root])
+        assert [v.rule_id for v in violations] == ["LINT-UNUSED-NOQA"]
+
+    def test_live_suppression_not_flagged(self, tmp_path):
+        root = make_tree(tmp_path, {
+            "sim/a.py": (
+                "import time\n"
+                "t = time.time()  # repro: noqa DET-TIME\n"
+            ),
+        })
+        violations, _ = lint_paths([root])
+        assert violations == []
+
+    def test_unknown_rule_id_flagged(self, tmp_path):
+        root = make_tree(tmp_path, {
+            "sim/a.py": (
+                "import time\n"
+                "t = time.time()  # repro: noqa DET-TYPO\n"
+            ),
+        })
+        violations, _ = lint_paths([root])
+        ids = [v.rule_id for v in violations]
+        assert "LINT-UNUSED-NOQA" in ids  # the typo'd comment is stale
+        assert "DET-TIME" in ids  # and it suppressed nothing
+
+    def test_continuation_line_noqa_is_stale(self, tmp_path):
+        # Violations anchor to the statement's first line; a suppression
+        # on a continuation line silences nothing, so it is stale.
+        root = make_tree(tmp_path, {
+            "sim/a.py": (
+                "import time\n"
+                "t = time.time(\n"
+                ")  # repro: noqa DET-TIME\n"
+            ),
+        })
+        violations, _ = lint_paths([root])
+        ids = sorted(v.rule_id for v in violations)
+        assert ids == ["DET-TIME", "LINT-UNUSED-NOQA"]
+
+    def test_docstring_mention_not_a_suppression(self, tmp_path):
+        root = make_tree(tmp_path, {
+            "sim/a.py": (
+                '"""Docs mentioning # repro: noqa DET-TIME literally."""\n'
+                "x = 1\n"
+            ),
+        })
+        violations, _ = lint_paths([root])
+        assert violations == []
+
+
+class TestSarif:
+    def test_sarif_payload_shape(self, tmp_path):
+        root = make_tree(tmp_path, {"sim/a.py": DIRTY})
+        violations, n = lint_paths([root])
+        payload = json.loads(render_sarif(violations, n))
+        assert payload["version"] == "2.1.0"
+        run = payload["runs"][0]
+        assert run["tool"]["driver"]["name"] == "repro-lint"
+        assert run["results"][0]["ruleId"] == "DET-TIME"
+        region = run["results"][0]["locations"][0]["physicalLocation"]
+        assert region["region"]["startLine"] == 3
+        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
+        assert {"DET-TIME", "CONC-GLOBAL-MUT", "API-SNAPSHOT"} <= rule_ids
+
+    def test_cli_sarif_format(self, tmp_path, capsys):
+        root = make_tree(tmp_path, {"sim/a.py": DIRTY})
+        assert main(["lint", str(root), "--format", "sarif"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["runs"][0]["results"]
+
+
+class TestChanged:
+    def init_repo(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        subprocess.run(["git", "init", "-q"], check=True)
+        subprocess.run(["git", "config", "user.email", "t@t"], check=True)
+        subprocess.run(["git", "config", "user.name", "t"], check=True)
+
+    def test_changed_lints_only_diffed_files(self, tmp_path, monkeypatch, capsys):
+        self.init_repo(tmp_path, monkeypatch)
+        root = make_tree(tmp_path, {"sim/a.py": CLEAN, "sim/b.py": CLEAN})
+        subprocess.run(["git", "add", "-A"], check=True)
+        subprocess.run(["git", "commit", "-qm", "base"], check=True)
+        (root / "sim" / "a.py").write_text(DIRTY)
+        assert main(["lint", "--changed"]) == 1
+        out = capsys.readouterr().out
+        assert "DET-TIME" in out
+        assert "1 file(s)" in out  # b.py untouched, not linted
+
+    def test_changed_includes_untracked_files(self, tmp_path, monkeypatch, capsys):
+        self.init_repo(tmp_path, monkeypatch)
+        root = make_tree(tmp_path, {"sim/a.py": CLEAN})
+        subprocess.run(["git", "add", "-A"], check=True)
+        subprocess.run(["git", "commit", "-qm", "base"], check=True)
+        (root / "sim" / "new.py").write_text(DIRTY)
+        assert main(["lint", "--changed"]) == 1
+        assert "DET-TIME" in capsys.readouterr().out
+
+    def test_changed_clean_when_no_diff(self, tmp_path, monkeypatch, capsys):
+        self.init_repo(tmp_path, monkeypatch)
+        make_tree(tmp_path, {"sim/a.py": CLEAN})
+        subprocess.run(["git", "add", "-A"], check=True)
+        subprocess.run(["git", "commit", "-qm", "base"], check=True)
+        assert main(["lint", "--changed"]) == 0
+        assert "0 changed" in capsys.readouterr().out
+
+    def test_changed_skips_project_rules(self, tmp_path, monkeypatch, capsys):
+        # A worker-reachable mutation needs the whole project; --changed
+        # must not half-run it (CI's full lint covers it).
+        self.init_repo(tmp_path, monkeypatch)
+        root = make_tree(tmp_path, {"parallel/jobs.py": CLEAN})
+        subprocess.run(["git", "add", "-A"], check=True)
+        subprocess.run(["git", "commit", "-qm", "base"], check=True)
+        (root / "parallel" / "jobs.py").write_text(
+            "CACHE = {}\n"
+            "def run_job():\n    CACHE[1] = 2\n"
+        )
+        assert main(["lint", "--changed"]) == 0
+
+    def test_changed_from_subdirectory_finds_tracked_edit(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # git diff prints repository-root paths; run from a subdirectory
+        # the edit must still be found, not reported as 0 changed files.
+        self.init_repo(tmp_path, monkeypatch)
+        root = make_tree(tmp_path, {"sim/a.py": CLEAN, "sim/b.py": CLEAN})
+        subprocess.run(["git", "add", "-A"], check=True)
+        subprocess.run(["git", "commit", "-qm", "base"], check=True)
+        (root / "sim" / "a.py").write_text(DIRTY)
+        monkeypatch.chdir(root / "sim")
+        assert main(["lint", "--changed"]) == 1
+        out = capsys.readouterr().out
+        assert "DET-TIME" in out
+        assert "1 file(s)" in out
+
+    def test_changed_from_subdirectory_sees_whole_repo(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        self.init_repo(tmp_path, monkeypatch)
+        root = make_tree(tmp_path, {"sim/a.py": CLEAN, "cluster/b.py": CLEAN})
+        subprocess.run(["git", "add", "-A"], check=True)
+        subprocess.run(["git", "commit", "-qm", "base"], check=True)
+        (root / "cluster" / "new.py").write_text(DIRTY)
+        monkeypatch.chdir(root / "sim")
+        assert main(["lint", "--changed", "--format", "json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["checked_files"] == 1
+        assert data["violations"][0]["file"] == "../../repro/cluster/new.py"

@@ -1,11 +1,11 @@
-"""API-* rules: deprecated shims and facade-snapshot drift."""
+"""API-SNAPSHOT: facade-snapshot drift."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
 from repro.analysis import build_project, parse_contract, parse_source
-from repro.analysis.facade_lint import check, check_project
+from repro.analysis.facade_lint import check_project
 
 CONTRACT = parse_contract(
     """
@@ -14,40 +14,9 @@ sim = []
 
 [facade]
 snapshot = "tests/public_api_snapshot.txt"
-
-[deprecated]
-names = ["repro.build_estimator", "repro.bench.build_estimator"]
 """,
     origin="<test>",
 )
-
-
-class TestDeprecated:
-    def run_check(self, source: str, module: str = "repro.sim.mod"):
-        info = parse_source(source, module=module)
-        return [v.rule_id for v in check(info, CONTRACT)]
-
-    def test_from_import_of_shim_flagged(self):
-        src = "from repro import build_estimator\n"
-        assert self.run_check(src) == ["API-DEPRECATED"]
-
-    def test_attribute_use_of_shim_flagged(self):
-        src = "import repro\n\ndef f():\n    return repro.build_estimator\n"
-        assert self.run_check(src) == ["API-DEPRECATED"]
-
-    def test_aliased_from_import_flagged(self):
-        src = "from repro.bench import build_estimator as be\n\nbe()\n"
-        assert "API-DEPRECATED" in self.run_check(src)
-
-    def test_replacement_name_clean(self):
-        src = "from repro.api import fit_models\n"
-        assert self.run_check(src) == []
-
-    def test_external_style_module_exempt(self):
-        # Examples/scripts mimic external callers; only repro.* modules
-        # are held to the internal no-shim rule.
-        src = "from repro import build_estimator\n"
-        assert self.run_check(src, module="demo_example") == []
 
 
 def make_api_tree(tmp_path: Path, all_names: list[str], snapshot: list[str] | None):

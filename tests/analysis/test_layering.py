@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.analysis import parse_contract, parse_source
@@ -77,6 +79,24 @@ class TestContractParser:
     def test_invalid_toml_rejected(self):
         with pytest.raises(AnalysisError, match="invalid"):
             parse_contract("not toml [")
+
+    @pytest.mark.parametrize(
+        "body,names",
+        [
+            # Read as empty, either misspelling would leave no entry
+            # points and silently switch off every CONC-* rule.
+            ("[concurency]\nentry_points = []\n", "[concurency]"),
+            ("[concurrency]\nentry_point = []\n", "concurrency.entry_point"),
+            ("[vectorization]\nkernel_modules = []\n", "[vectorization]"),
+            ("[deprecated]\nnames = []\n", "[deprecated]"),
+            ("[facade]\nroot = []\n\n[extra]\n", "[extra], facade.root"),
+        ],
+        ids=["misspelt-table", "misspelt-key", "vectorization", "deprecated",
+             "several"],
+    )
+    def test_unknown_table_or_key_rejected(self, body, names):
+        with pytest.raises(AnalysisError, match=re.escape(f"unknown {names};")):
+            parse_contract(f"[allowed]\nsim = []\n\n{body}")
 
 
 class TestLayDag:

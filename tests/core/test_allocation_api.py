@@ -2,8 +2,8 @@
 
 Covers the cycle-scoped :class:`AllocationContext` /
 :class:`AllocationPlan` surface, the :class:`CandidatePolicyAdapter`
-lift, the registry's error wrapping, and the deprecated
-``repro.core.allocator`` module shim.
+lift, the registry's error wrapping, and the removal of the old
+``repro.core.allocator`` module path.
 """
 
 from __future__ import annotations
@@ -203,25 +203,7 @@ class TestRegistryErrors:
 
 
 class TestDeprecatedModuleShim:
-    def test_old_spellings_importable_with_warning(self):
-        import repro.core.allocator as old
-
-        for name in (
-            "AllocationOutcome",
-            "AllocationPolicy",
-            "AllocationRequest",
-            "get_policy",
-            "register_policy",
-            "registered_policies",
-        ):
-            with pytest.warns(DeprecationWarning, match=name):
-                served = getattr(old, name)
-            from repro.core import allocation
-
-            assert served is getattr(allocation, name)
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.core.allocator as old
-
-        with pytest.raises(AttributeError):
-            old.no_such_name
+    def test_old_module_path_is_gone(self):
+        # The names live in repro.core.allocation (and repro.api) only.
+        with pytest.raises(ModuleNotFoundError):
+            import repro.core.allocator  # noqa: F401

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bench.app import aaw_task
 from repro.bench.profiler import profile_subtask
 from repro.errors import RegressionError
 from repro.regression.diagnostics import diagnose_latency_fit
-from repro.bench.profiler import LatencyProfileResult
+from repro.bench.profiler import LatencyProfileResult, ProfileSample
+from repro.regression.latency_model import ExecutionLatencyModel
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +72,38 @@ class TestDiagnostics:
         )
         with pytest.raises(RegressionError):
             diagnose_latency_fit(empty)
+
+    def test_tied_sizes_split_in_input_order(self):
+        """Samples with equal ``d`` that straddle the median split fall
+        into the halves in input order, so the ratio is reproducible.
+
+        Sizes cycle through 13 values, so the tie group at the split
+        holds several samples with distinct residuals; an unstable sort
+        moves different ones across the split and changes the ratio.
+        """
+        n = 60
+        d_tracks = [100.0 * ((7 * i) % 13) for i in range(n)]
+        samples = [
+            ProfileSample(
+                subtask_name="x",
+                u_target=0.0,
+                u_measured=0.0,
+                d_tracks=d,
+                latency_s=(i + 1) * 1e-3,
+            )
+            for i, d in enumerate(d_tracks)
+        ]
+        # A zero surface makes every residual the sample's latency (ms).
+        zero = ExecutionLatencyModel("x", a=(0.0, 0.0, 0.0), b=(0.0, 0.0, 0.0))
+        diag = diagnose_latency_fit(
+            LatencyProfileResult(subtask_name="x", samples=samples, model=zero)
+        )
+
+        order = sorted(range(n), key=lambda i: (d_tracks[i], i))
+        residuals = np.arange(1.0, n + 1.0)
+        small = np.sqrt(np.mean(residuals[order[: n // 2]] ** 2))
+        large = np.sqrt(np.mean(residuals[order[n // 2 :]] ** 2))
+        assert d_tracks[order[n // 2 - 1]] == d_tracks[order[n // 2]]
+        assert diag.heteroscedasticity_ratio == pytest.approx(
+            large / small, rel=1e-12
+        )

@@ -1,4 +1,4 @@
-"""The public-surface contract: snapshot, re-exports, deprecations.
+"""The public-surface contract: snapshot, re-exports, removed names.
 
 ``repro.api.__all__`` is the compatibility promise of the distribution.
 This suite pins it against a checked-in snapshot so that any addition
@@ -86,13 +86,14 @@ OLD_NAMES = [
 
 class TestDeprecatedNames:
     @pytest.mark.parametrize("module_name,attr", OLD_NAMES)
-    def test_old_name_works_with_deprecation_warning(self, module_name, attr):
+    def test_old_name_is_gone(self, module_name, attr):
+        # The pre-facade estimator entry points were removed; the one
+        # spelling is repro.api.fit_estimator.
         import importlib
 
         module = importlib.import_module(module_name)
-        with pytest.warns(DeprecationWarning, match="repro.api.fit_estimator"):
-            old = getattr(module, attr)
-        assert callable(old)
+        with pytest.raises(AttributeError):
+            getattr(module, attr)
 
     def test_old_names_left_the_facade(self):
         assert "build_estimator" not in repro.api.__all__

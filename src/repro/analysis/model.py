@@ -119,17 +119,20 @@ class ModuleInfo:
 
 
 def module_name_for(path: Path) -> str:
-    """Derive the dotted module name of ``path`` from its ``repro`` anchor.
+    """Derive the dotted module name of ``path`` from the ``repro`` package.
 
-    The *last* path component named ``repro`` is taken as the package
-    root, so both ``src/repro/sim/engine.py`` and a synthetic test tree
-    ``/tmp/x/repro/sim/engine.py`` map to ``repro.sim.engine``.  Files
-    outside any ``repro`` directory fall back to their stem.
+    The package root is the last directory named ``repro`` on the path
+    that holds an ``__init__.py``, so ``src/repro/sim/engine.py`` and a
+    synthetic tree ``/tmp/x/repro/sim/engine.py`` (with its
+    ``repro/__init__.py``) both map to ``repro.sim.engine``, while a
+    checkout directory that happens to be named ``repro`` does not make
+    ``examples/demo.py`` part of the package.  Files outside the
+    package fall back to their stem.
     """
     parts = path.with_suffix("").parts
     anchor = None
-    for i, part in enumerate(parts):
-        if part == "repro":
+    for i, part in enumerate(parts[:-1]):
+        if part == "repro" and Path(*parts[: i + 1], "__init__.py").is_file():
             anchor = i
     if anchor is None:
         return path.stem

@@ -150,6 +150,9 @@ class ChaosInjector:
             i.kind == "loss_spike" for i in injections
         ):
             network.rng = self.system.rng.stream("chaos.net-loss")
+        if any(i.kind in ("loss_spike", "bandwidth_spike") for i in injections):
+            # A burst's delivery times are fixed when it is sent.
+            network.keep_per_message()
         for injection in injections:
             if injection.kind == "sensor_dropout":
                 assert injection.duration_s is not None

@@ -65,7 +65,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.errors import ReproError
+from repro.errors import AnalysisError, ReproError
 from repro.experiments.config import (
     DEFAULT_SWEEP_UNITS,
     BaselineConfig,
@@ -750,7 +750,7 @@ def _changed_python_files(ref: str) -> list[str]:
             cwd=cwd,
         )
         if proc.returncode != 0:
-            raise SystemExit(
+            raise AnalysisError(
                 f"repro lint --changed: git {' '.join(args)} failed: "
                 f"{proc.stderr.strip()}"
             )

@@ -16,11 +16,40 @@ Table 1) as one FIFO server shared by all nodes:
 
 Byte counters and a :class:`~repro.cluster.metering.UtilizationMeter`
 provide the "average network utilization" metric of §5.2.
+
+Event model
+-----------
+A stage's inter-stage hop is a burst of ``k`` equal messages (Figure
+5).  Service is deterministic, so when the sender hands over the whole
+burst (:meth:`Network.send_burst`) its delivery times are known at
+send time: in shared mode message ``i`` of the burst ends ``i`` service
+times after the burst starts (``max(now, end of the previous burst)``,
+the times summed one ``tx`` at a time exactly as the per-message queue
+would), in switched mode all ``k`` end at ``now + tx``.  One calendar
+event at the last delivery does the accounting for all ``k`` messages
+and calls the sender back once.  Counters read while a burst is in
+flight first settle its messages delivered up to ``engine.now``, so
+they read what the per-message path would.  The event takes its
+calendar sequence number at send time, so another event at exactly the
+same instant and priority, scheduled while the burst was in flight,
+runs after the burst ends where per-message delivery would run it
+before.
+
+The per-message path (:meth:`Network.send`, one event per message)
+stays for the media whose messages do not share a fixed schedule: a
+lossy medium (``rng`` set), one whose bandwidth or loss a fault
+injector will change mid-run (:meth:`Network.keep_per_message`), runs
+with telemetry enabled (per-message trace records and histograms need
+their own timestamps) and callers that read per-message timestamps
+(:meth:`Network.send_bytes`, as the buffer-delay profiler does).  The
+choice is made once, at the first send, and a medium never mixes the
+two paths.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import Callable
 
 from repro.cluster.metering import UtilizationMeter
@@ -30,6 +59,39 @@ from repro.sim.engine import Engine
 from repro.units import ETHERNET_100_MBPS, transmission_time
 
 _message_ids = IdCounter(1)
+
+
+class _Burst:
+    """``count`` equal messages delivered by one calendar event.
+
+    ``settled`` messages have been accounted so far; in shared mode the
+    last of them was delivered at ``settled_at`` (the burst's start
+    while none has).
+    """
+
+    __slots__ = (
+        "count", "wire_bytes", "tx", "label", "on_delivered", "end",
+        "settled", "settled_at",
+    )
+
+    def __init__(
+        self,
+        count: int,
+        wire_bytes: float,
+        tx: float,
+        label: str,
+        on_delivered: Callable[[Message | None, float], None],
+        start: float,
+        end: float,
+    ) -> None:
+        self.count = count
+        self.wire_bytes = wire_bytes
+        self.tx = tx
+        self.label = label
+        self.on_delivered = on_delivered
+        self.end = end
+        self.settled = 0
+        self.settled_at = start
 
 
 class Message:
@@ -202,16 +264,47 @@ class Network:
         self._queue: deque[Message] = deque()
         self._transmitting: Message | None = None
         self._in_flight = 0  # switched mode: concurrent transmissions
-        self.delivered_count = 0
-        self.delivered_bytes = 0.0
-        #: Per-label delivered (count, bytes) — e.g. one entry per
-        #: message stage ("aaw.m2"), for traffic breakdowns.
-        self.delivered_by_label: dict[str, tuple[int, float]] = {}
+        #: Bursts not yet delivered, in send order; the medium is busy
+        #: while any is.
+        self._bursts: deque[_Burst] = deque()
+        #: Whether bursts deliver as one event; fixed at the first send.
+        self._coalesce: bool | None = None
+        self._delivered_count = 0
+        self._delivered_bytes = 0.0
+        self._delivered_by_label: dict[str, tuple[int, float]] = {}
 
     # -- sending ---------------------------------------------------------------
 
+    @property
+    def coalesces(self) -> bool:
+        """Whether :meth:`send_burst` is this medium's path.
+
+        Decided at the first call (or the first :meth:`send`) and fixed
+        for the rest of the run: bursts coalesce unless the medium is
+        lossy, a fault injector asked for :meth:`keep_per_message`, or
+        telemetry is enabled.
+        """
+        if self._coalesce is None:
+            self._coalesce = (
+                self.rng is None and not self.engine.telemetry.enabled
+            )
+        return self._coalesce
+
+    def keep_per_message(self) -> None:
+        """Deliver every message as its own event for the whole run.
+
+        For fault injectors that change bandwidth or loss mid-run, which
+        a burst's delivery times, fixed when it is sent, cannot follow.
+        """
+        if self._coalesce:
+            raise ClusterError("the medium already delivers coalesced bursts")
+        self._coalesce = False
+
     def send(self, message: Message) -> Message:
         """Enqueue (shared) or immediately transmit (switched) a message."""
+        if self._coalesce is None:
+            self._coalesce = False
+        assert not self._coalesce, "a coalescing medium takes no single messages"
         if message.overhead_bytes == 0.0:
             message.overhead_bytes = self.default_overhead_bytes
         message.enqueue_time = self.engine.now
@@ -252,6 +345,45 @@ class Network:
             )
         )
 
+    def send_burst(
+        self,
+        count: int,
+        payload_bytes: float,
+        on_delivered: Callable[[Message | None, float], None],
+        label: str = "",
+    ) -> None:
+        """Send ``count`` messages of ``payload_bytes`` as one burst.
+
+        The messages queue (shared) or transmit (switched) exactly as
+        ``count`` :meth:`send` calls would, but one calendar event
+        delivers them all; ``on_delivered(None, t)`` runs once, at the
+        last delivery.  Only for a medium that :attr:`coalesces`.
+        """
+        assert self.coalesces, "a per-message medium takes no bursts"
+        if count < 1:
+            raise ClusterError(f"a burst needs at least one message, got {count}")
+        if payload_bytes < 0.0:
+            raise ClusterError(f"payload must be non-negative, got {payload_bytes}")
+        _message_ids.reset(_message_ids.value + count)
+        now = self.engine.now
+        wire_bytes = float(payload_bytes) + self.default_overhead_bytes
+        tx = self.transmission_delay(wire_bytes)
+        if self.mode == "switched":
+            start = now
+            end = now + tx
+        else:
+            start = self._bursts[-1].end if self._bursts else now
+            # One addition per message, as the queue clocks them out:
+            # ``start + count * tx`` would differ in the last place.
+            end = start
+            for _ in range(count):
+                end += tx
+        if not self._bursts:
+            self.meter.set_busy(now, True)
+        burst = _Burst(count, wire_bytes, tx, label, on_delivered, start, end)
+        self._bursts.append(burst)
+        self.engine.schedule_at(end, self._deliver_burst, burst, label="net.deliver")
+
     def transmission_delay(self, wire_bytes: float) -> float:
         """Deterministic service time for ``wire_bytes`` (paper eq. 6)."""
         return transmission_time(wire_bytes, self.bandwidth_bps)
@@ -274,8 +406,8 @@ class Network:
         )
 
     def _account(self, message: Message) -> None:
-        self.delivered_count += 1
-        self.delivered_bytes += message.wire_bytes
+        self._delivered_count += 1
+        self._delivered_bytes += message.wire_bytes
         telemetry = self.engine.telemetry
         if telemetry.enabled:
             telemetry.on_message_delivered(
@@ -286,11 +418,48 @@ class Network:
                 message.label or "msg",
             )
         if message.label:
-            count, total = self.delivered_by_label.get(message.label, (0, 0.0))
-            self.delivered_by_label[message.label] = (
+            count, total = self._delivered_by_label.get(message.label, (0, 0.0))
+            self._delivered_by_label[message.label] = (
                 count + 1,
                 total + message.wire_bytes,
             )
+
+    def _account_burst(self, burst: _Burst, n: int) -> None:
+        """Account ``n`` more of ``burst``'s messages, one at a time."""
+        if n == 0:
+            return
+        wire_bytes = burst.wire_bytes
+        total = self._delivered_bytes
+        for _ in range(n):
+            total += wire_bytes
+        self._delivered_bytes = total
+        self._delivered_count += n
+        if burst.label:
+            count, total = self._delivered_by_label.get(burst.label, (0, 0.0))
+            for _ in range(n):
+                total += wire_bytes
+            self._delivered_by_label[burst.label] = (count + n, total)
+        burst.settled += n
+
+    def _settle(self) -> None:
+        """Account every burst message delivered up to ``engine.now``."""
+        now = self.engine.now
+        if self.mode == "switched":
+            for burst in sorted(self._bursts, key=attrgetter("end")):
+                if burst.end > now:
+                    return
+                self._account_burst(burst, burst.count - burst.settled)
+            return
+        for burst in self._bursts:
+            n = 0
+            t = burst.settled_at
+            while burst.settled + n < burst.count and t + burst.tx <= now:
+                t += burst.tx
+                n += 1
+            self._account_burst(burst, n)
+            burst.settled_at = t
+            if burst.settled < burst.count:
+                return
 
     def _maybe_lost(self, message: Message) -> bool:
         """Decide whether this transmission was lost; arrange the retry."""
@@ -368,12 +537,47 @@ class Network:
         if callback is not None:
             callback(message, self.engine.now)
 
+    def _deliver_burst(self, burst: _Burst) -> None:
+        now = self.engine.now
+        if self.mode == "switched":
+            self._bursts.remove(burst)
+        else:
+            head = self._bursts.popleft()
+            assert head is burst, "shared-medium bursts deliver in FIFO order"
+        self._account_burst(burst, burst.count - burst.settled)
+        if not self._bursts:
+            self.meter.set_busy(now, False)
+        burst.on_delivered(None, now)
+
     # -- queries ---------------------------------------------------------------
+
+    @property
+    def delivered_count(self) -> int:
+        """Messages delivered so far."""
+        self._settle()
+        return self._delivered_count
+
+    @property
+    def delivered_bytes(self) -> float:
+        """Wire bytes delivered so far."""
+        self._settle()
+        return self._delivered_bytes
+
+    @property
+    def delivered_by_label(self) -> dict[str, tuple[int, float]]:
+        """Per-label delivered (count, bytes) — e.g. one entry per
+        message stage ("aaw.m2"), for traffic breakdowns."""
+        self._settle()
+        return self._delivered_by_label
 
     @property
     def queue_length(self) -> int:
         """Messages waiting (excluding the one in transmission)."""
-        return len(self._queue)
+        if not self._bursts or self.mode == "switched":
+            return len(self._queue)
+        self._settle()
+        waiting = sum(burst.count - burst.settled for burst in self._bursts)
+        return max(waiting - 1, 0)
 
     def utilization(self, now: float | None = None, window: float | None = None) -> float:
         """Busy fraction of the medium over the trailing window."""

@@ -48,10 +48,6 @@ if TYPE_CHECKING:  # imported lazily at runtime: forecast_eval imports us
     from repro.experiments.forecast_eval import CalibrationReport
     from repro.telemetry.slo import SloReport
 
-#: Backwards-compatible alias for the in-process estimator cache, now
-#: owned by :mod:`repro.experiments.estimator_cache` (same dict object).
-_ESTIMATOR_CACHE = estimator_cache._MEMORY_CACHE
-
 
 @dataclass(frozen=True)
 class ExperimentResult:

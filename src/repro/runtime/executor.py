@@ -10,7 +10,11 @@ Each period the executor:
    inter-stage message burst: one message per *downstream* replica,
    each carrying that replica's share — exactly the message pattern the
    predictive algorithm prices in Figure 5 (``k+1`` messages of
-   ``d/(k+1)`` payload);
+   ``d/(k+1)`` payload).  On a medium that coalesces bursts
+   (:attr:`~repro.cluster.network.Network.coalesces`) the burst is one
+   :meth:`~repro.cluster.network.Network.send_burst` and one calendar
+   event, and the next stage starts as the last receiver's message
+   lands; otherwise each message is sent, and delivered, on its own;
 4. records per-stage and end-to-end timing into
    :class:`~repro.runtime.records.PeriodRecord`.
 
@@ -174,7 +178,7 @@ class _DeliveryBarrier:
         self.sent_at = sent_at
         self.remaining = remaining
 
-    def delivered(self, message: Message, t: float, receiver: str) -> None:
+    def delivered(self, message: Message | None, t: float, receiver: str) -> None:
         self.remaining -= 1
         if self.remaining == 0 and not self.flight.done:
             # Monitoring sees the cross-node delay: receiver stamp minus
@@ -202,7 +206,7 @@ class _MessageDone:
         self.barrier = barrier
         self.receiver = receiver
 
-    def __call__(self, message: Message, t: float) -> None:
+    def __call__(self, message: Message | None, t: float) -> None:
         self.barrier.delivered(message, t, self.receiver)
 
     def __getstate__(self) -> dict[str, object]:
@@ -355,15 +359,27 @@ class PeriodicTaskExecutor:
         senders = self.assignment.processors_of(subtask_index)
         share = flight.record.d_tracks / len(receivers)
         sent_at = self._stamp(senders[0])
+        payload = message_spec.wire_payload_bytes(share, flight.record.d_tracks)
+        label = f"{self.task.name}.m{subtask_index}"
+        network = self.system.network
+        if network.coalesces:
+            # One event delivers the whole burst; the per-message queue
+            # would end it on the last receiver.
+            barrier = _DeliveryBarrier(self, flight, next_index, sent_at, 1)
+            network.send_burst(
+                len(receivers),
+                payload,
+                _MessageDone(barrier, receivers[-1]),
+                label=label,
+            )
+            return
         barrier = _DeliveryBarrier(self, flight, next_index, sent_at, len(receivers))
-
         for position, receiver in enumerate(receivers):
-            sender = senders[position % len(senders)]
-            self.system.network.send_bytes(
-                message_spec.wire_payload_bytes(share, flight.record.d_tracks),
-                source=sender,
+            network.send_bytes(
+                payload,
+                source=senders[position % len(senders)],
                 destination=receiver,
-                label=f"{self.task.name}.m{subtask_index}",
+                label=label,
                 on_delivered=_MessageDone(barrier, receiver),
             )
 

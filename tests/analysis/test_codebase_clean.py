@@ -35,6 +35,18 @@ def test_examples_lint_clean():
     assert n_files >= 8
 
 
+def test_examples_lint_clean_in_a_checkout_named_repro(tmp_path):
+    """A checkout directory named ``repro`` is not the ``repro`` package."""
+    checkout = tmp_path / "repro"
+    shutil.copytree(REPO_ROOT / "examples", checkout / "examples")
+    package = checkout / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    violations, n_files = lint_paths([checkout / "examples"])
+    report = render_text(violations, n_files)
+    assert not violations, f"examples linted as package modules:\n{report}"
+
+
 def test_project_passes_actually_ran():
     """The clean run above must include the flow-aware passes.
 
@@ -62,6 +74,7 @@ def test_gate_catches_injected_conc_violation(tmp_path):
     """A seeded worker-reachable mutation must fail the gate end to end."""
     staged = tmp_path / "repro" / "parallel"
     staged.mkdir(parents=True)
+    (tmp_path / "repro" / "__init__.py").write_text("")
     (staged / "jobs.py").write_text(
         "LEAK = {}\n"
         "def run_job(spec):\n"
@@ -80,6 +93,7 @@ def test_gate_catches_injected_violation(tmp_path):
     """
     staged = tmp_path / "repro" / "sim"
     staged.mkdir(parents=True)
+    (tmp_path / "repro" / "__init__.py").write_text("")
     shutil.copy(SRC_ROOT / "sim" / "engine.py", staged / "engine.py")
     source = (staged / "engine.py").read_text()
     assert "time.time()" not in source

@@ -16,6 +16,7 @@ from repro.analysis import (
     render_sarif,
     render_text,
 )
+from repro.analysis.model import module_name_for
 from repro.cli import main
 from repro.errors import AnalysisError
 
@@ -25,7 +26,7 @@ DIRTY = "import time\n\nT = time.time()\n"
 
 def make_tree(tmp_path, sources: dict[str, str]):
     """Lay out a synthetic repro package on disk."""
-    for rel, src in sources.items():
+    for rel, src in {"__init__.py": "", **sources}.items():
         target = tmp_path / "repro" / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(src)
@@ -37,7 +38,7 @@ class TestLintPaths:
         root = make_tree(tmp_path, {"sim/mod.py": CLEAN})
         violations, n_files = lint_paths([root])
         assert violations == []
-        assert n_files == 1
+        assert n_files == 2  # the module and the package's __init__.py
 
     def test_violation_found_with_position(self, tmp_path):
         root = make_tree(tmp_path, {"sim/mod.py": DIRTY})
@@ -70,6 +71,23 @@ class TestLintPaths:
         root = make_tree(tmp_path, {"sim/bad.py": "def broken(:\n"})
         with pytest.raises(AnalysisError, match="parse"):
             lint_paths([root])
+
+
+class TestModuleNames:
+    def test_package_files_named_from_the_package_root(self, tmp_path):
+        root = make_tree(tmp_path, {"sim/mod.py": CLEAN})
+        assert module_name_for(root / "sim" / "mod.py") == "repro.sim.mod"
+        assert module_name_for(root / "__init__.py") == "repro"
+
+    def test_checkout_named_repro_is_not_the_package(self, tmp_path):
+        checkout = tmp_path / "repro"
+        make_tree(checkout / "src", {"sim/mod.py": CLEAN})
+        (checkout / "examples").mkdir()
+        assert module_name_for(checkout / "examples" / "demo.py") == "demo"
+        assert (
+            module_name_for(checkout / "src" / "repro" / "sim" / "mod.py")
+            == "repro.sim.mod"
+        )
 
 
 class TestRendering:
@@ -260,6 +278,16 @@ class TestChanged:
             "def run_job():\n    CACHE[1] = 2\n"
         )
         assert main(["lint", "--changed"]) == 0
+
+    def test_changed_outside_a_work_tree_is_an_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Exit 1 means "violations found"; a failed git call is an error.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        assert main(["lint", "--changed"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: repro lint --changed: git rev-parse")
 
     def test_changed_from_subdirectory_finds_tracked_edit(
         self, tmp_path, monkeypatch, capsys
